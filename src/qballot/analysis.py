@@ -39,6 +39,7 @@ from .csequence import (
     c_shifted_theorem1,
     c_theorem1,
     q1_identity_reports,
+    theorem1_columns,
 )
 from .qcore import (
     XPoly,
@@ -121,6 +122,22 @@ def numerator(n: int, c: XPoly) -> NumeratorReport:
         except ExactnessError:
             cleared = False
             cols.append(QRatFunc(ck.num * den, ck.den).num)
+    return _numerator_report(n, tuple(cols), den, cleared)
+
+
+def theorem1_numerator(n: int) -> NumeratorReport:
+    """The report on P_n read straight off the Theorem 1 columns of
+    [n-1]_q! C_n(x|q), with no reduction to C_n and no multiplying back."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _numerator_report(n, theorem1_columns(n - 1), q_factorial(n - 1), True)
+
+
+def _numerator_report(
+    n: int, cols: tuple[QLaurent, ...], den: QLaurent, cleared: bool
+) -> NumeratorReport:
+    # cleared: every column is an exact multiple, i.e. den * C_n has no
+    # leftover denominator.
     is_poly = cleared and all(col.is_zero or col.min_exp >= 0 for col in cols)
 
     if den == ONE:
@@ -152,7 +169,7 @@ def numerator(n: int, c: XPoly) -> NumeratorReport:
     )
     return NumeratorReport(
         n=n,
-        numerator=tuple(cols),
+        numerator=cols,
         denominator=den,
         is_polynomial=is_poly,
         is_irreducible_fraction=irreducible,
@@ -523,7 +540,7 @@ def _suite_andrews(maxn: int) -> SuiteReport:
 def _suite_conjecture(maxn: int) -> SuiteReport:
     rep = SuiteReport("conjecture")
     for n in range(2, maxn + 1):
-        r = numerator(n, c_theorem1(n - 1))
+        r = theorem1_numerator(n)
         detail = None
         if not r.ok:
             detail = (
@@ -538,7 +555,7 @@ def _suite_conjecture(maxn: int) -> SuiteReport:
 def _suite_polytope(maxn: int) -> SuiteReport:
     rep = SuiteReport("polytope")
     for n in range(2, maxn + 1):
-        p = newton_polytope(numerator(n, c_theorem1(n - 1)))
+        p = newton_polytope(theorem1_numerator(n))
         want = expected_upper_slopes(n)
         ok = p.upper_hull_slopes == want
         detail = f"slopes={[str(s) for s in p.upper_hull_slopes]}"

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from fractions import Fraction
 from math import comb
@@ -104,24 +105,118 @@ class BallotTable:
         entries = {f"{n},{k}": p.to_json() for (n, k), p in sorted(self.known().items())}
         return {"schema": self.SCHEMA, "entries": entries}
 
-    def load_json(self, data: dict) -> int:
+    def load_json(self, data: object) -> int:
+        """Add the entries of a dumped table; raises ValueError, and adds
+        nothing, unless every entry is well-formed and provably right.
+
+        Each entry must equal ballot(n, k) at q = 1, and satisfy
+        f(n,k) = q f(n,k-1) + q^k f(n-1,k) (f(n,0) = 1) against neighbours
+        that are in the table or in the file.  A table this class fills holds
+        every neighbour of every entry, so a file it wrote always passes, and
+        the checks then prove each entry by induction on n + k.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("the root is not a JSON object")
         if data.get("schema") != self.SCHEMA:
             raise ValueError(f"unrecognized cache schema: {data.get('schema')!r}")
-        loaded = 0
+        raw = data.get("entries")
+        if not isinstance(raw, dict):
+            raise ValueError("there is no 'entries' object")
+        parsed = {}
+        for key, poly in raw.items():
+            n, k = _parse_key(key)
+            parsed[(n, k)] = _parse_poly(key, poly)
         with self._lock:
-            for key, poly in data["entries"].items():
-                n_s, k_s = key.split(",")
-                self._entries[(int(n_s), int(k_s))] = QLaurent.from_json(poly)
-                loaded += 1
-        return loaded
+            known = {**self._entries, **parsed}
+            for (n, k), p in parsed.items():
+                _check_entry(n, k, p, known)
+            self._entries.update(parsed)
+        return len(parsed)
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.dump_json(), fh, separators=(",", ":"), sort_keys=True)
+        """Write the table as JSON, atomically: a reader sees the old file or
+        the new one, never a partial write."""
+        # The bytes of json.dump(self.dump_json(), fh, sort_keys=True, ...),
+        # written entry by entry through the C encoder, which json.dump never
+        # uses, without holding the whole document or its text in memory.
+        entries = sorted((f"{n},{k}", p) for (n, k), p in self.known().items())
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write('{"entries":{')
+                for i, (key, p) in enumerate(entries):
+                    body = json.dumps(p.to_json(), separators=(",", ":"))
+                    fh.write(f'{"," if i else ""}"{key}":{body}')
+                fh.write(f'}},"schema":"{self.SCHEMA}"}}')
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     def load(self, path: str) -> int:
         with open(path) as fh:
-            return self.load_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"cache {path} is not valid JSON: {exc}") from None
+        try:
+            return self.load_json(data)
+        except ValueError as exc:
+            raise ValueError(f"cache {path}: {exc}") from None
+
+
+_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
+
+
+def _parse_key(key: str) -> tuple[int, int]:
+    m = _KEY.fullmatch(key)
+    if m is None:
+        raise ValueError(f"entry key {key!r} is not 'n,k'")
+    n, k = int(m[1]), int(m[2])
+    if k > n:
+        raise ValueError(f"entry {key!r} has k > n")
+    return n, k
+
+
+def _parse_poly(key: str, poly: object) -> QLaurent:
+    # Pairs [exponent, nonzero integer coefficient as a string], as to_json
+    # writes them, each exponent once.
+    bad = ValueError(f"entry {key!r} is not a list of [exponent, integer] pairs")
+    if not isinstance(poly, list):
+        raise bad
+    terms: dict[int, int] = {}
+    for pair in poly:
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and isinstance(pair[1], str)
+        ):
+            raise bad
+        try:
+            c = int(pair[1])
+        except ValueError:
+            raise bad from None
+        if not c or pair[0] in terms:
+            raise bad
+        terms[pair[0]] = c
+    return QLaurent(terms)
+
+
+def _check_entry(n: int, k: int, p: QLaurent, known: dict) -> None:
+    if sum(c for _, c in p.items()) != ballot(n, k):
+        raise ValueError(f"entry '{n},{k}' does not count ballot({n},{k}) paths")
+    if k == 0:
+        ok = p == ONE
+    else:
+        left = known.get((n, k - 1))
+        up = known.get((n - 1, k)) if k < n else ZERO
+        if left is None or up is None:
+            raise ValueError(f"entry '{n},{k}' lacks the neighbours that prove it")
+        ok = p == left.shifted(1) + up.shifted(k)
+    if not ok:
+        raise ValueError(f"entry '{n},{k}' breaks the ballot recurrence")
 
 
 TABLE = BallotTable()

@@ -16,20 +16,18 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis import (
     SUITES,
-    NumeratorReport,
     newton_polytope,
-    numerator,
     run_suite,
     svg_polytope,
+    theorem1_numerator,
 )
 from .ballot import TABLE, ballot, qballot, qcatalan, tilde_qcatalan
-from .csequence import METHODS, c_family, c_theorem1, format_qbinom
+from .csequence import METHODS, c_family, format_qbinom
 from .qcore import to_qbinom_basis
 from .report import SuiteReport
 
@@ -231,18 +229,8 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     maxn = args.max_n
     if maxn < 2:
         raise ValueError("--max-n must be >= 2")
-    jobs = max(1, args.jobs)
     _load_cache(args.cache)
-    ns = list(range(2, maxn + 1))
-
-    def one(n: int) -> NumeratorReport:
-        return numerator(n, c_theorem1(n - 1))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, ns))  # map preserves order
-    else:
-        reports = [one(n) for n in ns]
+    reports = [theorem1_numerator(n) for n in range(2, maxn + 1)]
     _save_cache(args.cache)
 
     ok = all(r.ok for r in reports)
@@ -290,8 +278,7 @@ def cmd_polytope(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise ValueError("--n must be >= 2 (P_1 is a single point)")
     _load_cache(args.cache)
-    r = numerator(args.n, c_theorem1(args.n - 1))
-    p = newton_polytope(r)
+    p = newton_polytope(theorem1_numerator(args.n))
     _save_cache(args.cache)
     if args.format == "svg":
         text = svg_polytope(p, title=f"P_{args.n} exponents")
@@ -353,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     j = sub.add_parser("conjecture", help="positivity/irreducibility sweep")
     j.add_argument("--max-n", type=int, default=27)
-    j.add_argument("--jobs", type=int, default=1,
-                   help="worker threads across independent n")
     _add_io(j, ("text", "json", "csv"))
     j.set_defaults(fn=cmd_conjecture)
 

@@ -31,8 +31,10 @@ from .ballot import qballot, tilde_qcatalan
 from .qcore import (
     QBinomExpansion,
     XPoly,
+    columns_over_qfactorial,
     from_qbinom_basis,
     q_int,
+    qbinom_columns,
     subst_affine,
     to_qbinom_basis,
 )
@@ -195,9 +197,19 @@ def theorem1_qbinom_coeffs(n: int) -> tuple[QLaurent, ...]:
 
 
 @cache
+def theorem1_columns(n: int) -> tuple[QLaurent, ...]:
+    """The integer x-columns of [n]_q! C_{n+1}(x|q), lowest x-degree first.
+
+    These are the columns of the numerator P_{n+1}; C_{n+1} itself is their
+    quotient by the one shared denominator [n]_q!.
+    """
+    return qbinom_columns(theorem1_qbinom_coeffs(n))
+
+
+@cache
 def c_theorem1(n: int) -> XPoly:
     """C_{n+1}(x|q) assembled from reversed ballot polynomials."""
-    return from_qbinom_basis(QBinomExpansion(theorem1_qbinom_coeffs(n)))
+    return columns_over_qfactorial(theorem1_columns(n), n)
 
 
 @cache

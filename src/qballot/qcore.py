@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, starmap, zip_longest
 from math import comb
+from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .qlaurent import (
@@ -37,6 +39,7 @@ from .qlaurent import (
     RF_ONE,
     RF_ZERO,
     _coerce_ratfunc,
+    _dense_frac,
     ql_divexact,
 )
 
@@ -63,7 +66,7 @@ def q_factorial(n: int) -> QLaurent:
         raise ValueError("q-factorial needs n >= 0")
     if n <= 1:
         return ONE
-    return q_factorial(n - 1) * q_int(n)
+    return QLaurent(enumerate(_qint_mul_dense(_dense_frac(q_factorial(n - 1)), n)))
 
 
 @cache
@@ -103,11 +106,7 @@ def cyclotomic(d: int) -> QLaurent:
 
 @cache
 def _cyclo_dense(d: int) -> tuple[int, ...]:
-    phi = cyclotomic(d)
-    out = [0] * (phi.max_exp + 1)
-    for e, c in phi.items():
-        out[e] = int(c)
-    return tuple(out)
+    return tuple(_dense_frac(cyclotomic(d)))
 
 
 @cache
@@ -520,7 +519,9 @@ def from_qbinom_basis(e: QBinomExpansion) -> XPoly:
     while len(coeffs) > 1 and coeffs[-1].is_zero:
         coeffs.pop()
     if all(c.den == ONE for c in coeffs):
-        return _from_qbinom_laurent([c.num for c in coeffs])
+        return columns_over_qfactorial(
+            qbinom_columns([c.num for c in coeffs]), len(coeffs) - 1
+        )
     out = XPoly.zero()
     for j, c in enumerate(coeffs):
         if not c.is_zero:
@@ -528,30 +529,28 @@ def from_qbinom_basis(e: QBinomExpansion) -> XPoly:
     return out
 
 
-def _from_qbinom_laurent(bs: list[QLaurent]) -> XPoly:
-    """Fast path: coefficients are Laurent, so work over the single
-    denominator [d]_q! in Newton-Horner form and reduce once per x-degree."""
+def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
+    """The x-columns of [d]_q! * sum_j bs[j] {x choose j}_q, d = len(bs) - 1.
+
+    Since [d]_q!/[j]_q! = [j+1]_q...[d]_q, this is the Newton-Horner sum
+    sum_j c_j (x - [0]_q)...(x - [j-1]_q) with c_j = bs[j] [j+1]_q...[d]_q:
+    no division, so Laurent inputs give Laurent columns.  Column k is the
+    coefficient of x^k.
+    """
     d = len(bs) - 1
-    if d == 0:
-        return XPoly([QRatFunc(bs[0])])
-    # c_j = b_j * [d]_q!/[j]_q!, accumulated from the top down.
-    u = ONE
-    cs: list[QLaurent] = [ZERO] * (d + 1)
-    for j in range(d, -1, -1):
-        cs[j] = bs[j] * u if u != ONE else bs[j]
-        if j:
-            u = u * q_int(j)
-    acc: list[QLaurent] = [cs[d]]
-    for j in range(d - 1, -1, -1):
-        nxt = [ZERO] * (len(acc) + 1)
-        mj = q_int(j)
-        for i, c in enumerate(acc):
-            nxt[i + 1] = nxt[i + 1] + c
-            if mj:
-                nxt[i] = nxt[i] - c * mj
-        nxt[0] = nxt[0] + cs[j]
-        acc = nxt
-    return XPoly._raw(tuple(reduce_by_qfactorial(c, d) for c in acc))
+    lo = min((b.min_exp for b in bs if b), default=0)
+    cs = []
+    for j, b in enumerate(bs):
+        c = _dense_frac(b, lo)
+        for i in range(j + 1, d + 1):
+            c = _qint_mul_dense(c, i)
+        cs.append(c)
+    return tuple(QLaurent(enumerate(col, lo)) for col in _horner_dense(cs))
+
+
+def columns_over_qfactorial(cols: Sequence[QLaurent], d: int) -> XPoly:
+    """The polynomial sum_k cols[k] x^k / [d]_q!, each coefficient reduced."""
+    return XPoly(reduce_by_qfactorial(c, d) for c in cols)
 
 
 def reduce_by_qfactorial(num: QLaurent, d: int) -> QRatFunc:
@@ -567,12 +566,8 @@ def reduce_by_qfactorial(num: QLaurent, d: int) -> QRatFunc:
     if d <= 1:
         return QRatFunc._make(num, ONE)
     v = num.min_exp
-    shifted = num.shifted(-v) if v else num
-    cont = shifted.content()
-    prim = shifted.primitive()
-    dense = [0] * (prim.max_exp + 1)
-    for e, c in prim._terms.items():
-        dense[e] = int(c)
+    cont = num.content()
+    dense = _dense_frac(num.primitive())
     val2 = sum(c << e for e, c in enumerate(dense))
     den = ONE
     for e in range(2, d + 1):
@@ -608,13 +603,9 @@ def qfactorial_coprime(cols: Sequence[QLaurent], d: int):
     for col in cols:
         if col.is_zero:
             continue
-        v = col.min_exp
-        shifted = col.shifted(-v) if v else col
-        dense = [0] * (shifted.max_exp + 1)
-        for e, c in shifted._terms.items():
-            if not isinstance(c, int):
-                return None
-            dense[e] = c
+        dense = _dense_frac(col)
+        if not all(isinstance(c, int) for c in dense):
+            return None
         prepared.append((sum(c << e for e, c in enumerate(dense)), dense))
     if not prepared:
         return True
@@ -648,6 +639,40 @@ def _divexact_int(a: list[int], b: tuple[int, ...]):
     while quot and quot[-1] == 0:
         quot.pop()
     return quot
+
+
+# Dense kernel: a polynomial is a coefficient list read upward from an offset
+# that the caller keeps, and every list in one computation shares it, so
+# sums are elementwise.  Multiplying by [j]_q = 1 + q + ... + q^(j-1) is then
+# a width-j sliding-window sum, O(len) rather than the O(len * j) schoolbook
+# product.
+
+
+def _qint_mul_dense(a: list, j: int) -> list:
+    """a * [j]_q for j >= 0, as a window sum over prefix sums."""
+    if j <= 0 or not a:
+        return []
+    pad = [0] * (j - 1)
+    # s[i + j] - s[i] = a[i - j + 1] + ... + a[i], with a[<0] = 0
+    s = pad + list(accumulate(a + pad, initial=0))
+    return list(map(sub, s[j:], s[: len(a) + j - 1]))
+
+
+def _sub_dense(a: list, b: list) -> list:
+    return list(starmap(sub, zip_longest(a, b, fillvalue=0)))
+
+
+def _horner_dense(cs: Sequence[list]) -> list[list]:
+    """x-columns of sum_j cs[j] (x - [0]_q)(x - [1]_q)...(x - [j-1]_q)."""
+    acc = [cs[-1]]
+    for j in range(len(cs) - 2, -1, -1):
+        # acc * (x - [j]_q) + cs[j]
+        nxt = [_sub_dense(cs[j], _qint_mul_dense(acc[0], j))]
+        for i in range(1, len(acc)):
+            nxt.append(_sub_dense(acc[i - 1], _qint_mul_dense(acc[i], j)))
+        nxt.append(acc[-1])
+        acc = nxt
+    return acc
 
 
 # -- q-Stirling numbers -------------------------------------------------------

@@ -297,7 +297,7 @@ class QLaurent:
 
     def to_json(self) -> list[list]:
         """Pairs [exponent, coefficient-string], sorted by exponent."""
-        return [[e, str(Fraction(c))] for e, c in self.items()]
+        return [[e, str(c)] for e, c in self.items()]
 
     @classmethod
     def from_json(cls, data: Iterable) -> "QLaurent":
@@ -433,9 +433,14 @@ def ql_divexact(a: QLaurent, b: QLaurent) -> QLaurent:
     return QLaurent((k + off, c) for k, c in enumerate(quot))
 
 
-def _dense_frac(p: QLaurent) -> list[CoeffLike]:
-    lo, hi = p.min_exp, p.max_exp
-    out: list[CoeffLike] = [0] * (hi - lo + 1)
+def _dense_frac(p: QLaurent, lo: int | None = None) -> list[CoeffLike]:
+    """Coefficients of p, low to high, read upward from q^lo (default: its
+    lowest term); p must have no term below q^lo.  Zero gives []."""
+    if not p._terms:
+        return []
+    if lo is None:
+        lo = p.min_exp
+    out: list[CoeffLike] = [0] * (p.max_exp - lo + 1)
     for e, c in p._terms.items():
         out[e - lo] = c
     return out

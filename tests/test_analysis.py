@@ -1,6 +1,7 @@
 """Numerator structure of C_n(x|q), Newton polytopes, and the named
 verification suites."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qballot.analysis import (
     numerator,
     run_suite,
     svg_polytope,
+    theorem1_numerator,
 )
 from qballot.csequence import c_theorem1
 from qballot.qcore import XPoly, cyclotomic, q_factorial, xpoly_from_laurent
@@ -58,9 +60,20 @@ def test_numerator_flags_hold_through_twelve():
         assert numerator(n, c_theorem1(n - 1)).ok, n
 
 
+def test_theorem1_numerator_matches_numerator_oracle():
+    # the column-built report against clearing the reduced C_n again
+    for n in range(2, 16):
+        got = theorem1_numerator(n)
+        want = numerator(n, c_theorem1(n - 1))
+        for f in fields(NumeratorReport):
+            assert getattr(got, f.name) == getattr(want, f.name), (n, f.name)
+
+
 def test_numerator_rejects_bad_n():
     with pytest.raises(ValueError):
         numerator(0, XPoly.const(1))
+    with pytest.raises(ValueError):
+        theorem1_numerator(0)
 
 
 def test_numerator_uncleared_denominator():

@@ -278,6 +278,18 @@ def test_table_rejects_unknown_schema(tmp_path):
         BallotTable().load(str(p))
 
 
+def test_table_load_is_all_or_nothing():
+    t = BallotTable()
+    t.get(4, 3)
+    blob = t.dump_json()
+    # right at q = 1, wrong as a polynomial: the recurrence catches it
+    blob["entries"]["4,3"] = [[3, "13"], [9, "1"]]
+    fresh = BallotTable()
+    with pytest.raises(ValueError, match="recurrence"):
+        fresh.load_json(blob)
+    assert fresh.known() == {}
+
+
 def test_table_concurrent_reads_match_serial():
     serial = {(n, k): qballot(n, k) for n in range(8) for k in range(n + 1)}
     t = BallotTable()

@@ -176,13 +176,6 @@ def test_conjecture_json(capsys):
     assert data["results"][0]["coefficient_stats"] == [[0, 0], [1, 1]]
 
 
-def test_conjecture_jobs_output_identical(capsys):
-    assert main(["conjecture", "--max-n", "9"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["conjecture", "--max-n", "9", "--jobs", "3"]) == 0
-    assert capsys.readouterr().out == serial
-
-
 def test_conjecture_exit_one_on_failure(capsys, monkeypatch):
     from qballot.analysis import NumeratorReport
 
@@ -195,7 +188,7 @@ def test_conjecture_exit_one_on_failure(capsys, monkeypatch):
         all_coeffs_positive=True,
         coefficient_stats=((0, 0),),
     )
-    monkeypatch.setattr(cli, "numerator", lambda n, c: bad)
+    monkeypatch.setattr(cli, "theorem1_numerator", lambda n: bad)
     assert main(["conjecture", "--max-n", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -263,6 +256,59 @@ def test_cache_bad_schema(tmp_path, capsys):
     cache.write_text(json.dumps({"schema": "nope", "entries": {}}))
     assert main(["table", "2", "--cache", str(cache)]) == 2
     assert "schema" in capsys.readouterr().err
+
+
+_SCHEMA = BallotTable.SCHEMA
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # right shape, wrong value: must never print f(4,3|q) = 7
+        json.dumps({"schema": _SCHEMA, "entries": {"4,3": [[0, "7"]]}}),
+        # right value at q = 1 but nothing to prove the polynomial from
+        json.dumps({"schema": _SCHEMA, "entries": {"4,3": [[0, "14"]]}}),
+        "[]",
+        json.dumps({"schema": _SCHEMA}),
+        json.dumps({"schema": _SCHEMA, "entries": {"3,4": [[0, "1"]]}}),
+        json.dumps({"schema": _SCHEMA, "entries": {"0,0": [[0, "1/1"]]}}),
+        json.dumps({"schema": _SCHEMA, "entries": {"0,0": [[0.0, "1"]]}}),
+        json.dumps({"schema": _SCHEMA, "entries": {"x": [[0, "1"]]}}),
+        "{",
+    ],
+    ids=["tampered", "unproven", "root-list", "no-entries", "k-gt-n",
+         "fraction", "float-exponent", "bad-key", "not-json"],
+)
+def test_cache_rejected(tmp_path, capsys, text):
+    cache = tmp_path / "bad.json"
+    cache.write_text(text)
+    assert main(["ballot", "--n", "4", "--k", "3", "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qballot: cache ")
+    assert cache.read_text() == text  # left as it was
+
+
+def _cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "qballot.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_cache_written_by_program_loads_back(tmp_path):
+    cache = str(tmp_path / "cache.json")
+    want = _cli("ballot", "--n", "9", "--k", "5").stdout
+    assert _cli("ballot", "--n", "7", "--k", "4", "--cache", cache).returncode == 0
+    small = (tmp_path / "cache.json").stat().st_size
+    # load the small file, extend the table past it and save; then load that
+    for _ in range(2):
+        proc = _cli("ballot", "--n", "9", "--k", "5", "--cache", cache)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+    assert (tmp_path / "cache.json").stat().st_size > small
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]  # no temp files
 
 
 def test_unreadable_out_path(tmp_path, capsys):

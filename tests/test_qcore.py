@@ -34,6 +34,9 @@ from qballot.qcore import (
     q_pochhammer,
     q_stirling,
     qbinom_x,
+    _horner_dense,
+    _qint_mul_dense,
+    qbinom_columns,
     qfactorial_coprime,
     reduce_by_qfactorial,
     subst_affine,
@@ -460,3 +463,51 @@ def test_qfactorial_coprime_agrees_with_reduction():
     cols = [phi5 * (ONE + Q), phi5.shifted(1)]
     assert qfactorial_coprime(cols, 5) is False
     assert qfactorial_coprime(cols, 4) is True  # Phi_5 does not divide [4]_q!
+
+
+# ---------------------------------------------------------------------------
+# the dense kernel, against QLaurent.__mul__ as the schoolbook reference
+
+dense_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=12)
+
+
+def _laurent(cs, lo=0):
+    return QLaurent(enumerate(cs, lo))
+
+
+@given(dense_lists, st.integers(min_value=0, max_value=9))
+@settings(max_examples=80, deadline=None)
+def test_qint_mul_dense_is_schoolbook(cs, j):
+    assert _laurent(_qint_mul_dense(cs, j)) == _laurent(cs) * q_int(j)
+
+
+@given(st.lists(dense_lists, min_size=1, max_size=6), st.integers(-4, 4))
+@settings(max_examples=60, deadline=None)
+def test_horner_dense_is_schoolbook(cs, lo):
+    # sum_j cs[j] (x - [0]_q)...(x - [j-1]_q), multiplied out column by column
+    want = [ZERO] * len(cs)
+    basis = [ONE]  # x-columns of (x - [0]_q)...(x - [j-1]_q)
+    for j, c in enumerate(cs):
+        for k, b in enumerate(basis):
+            want[k] = want[k] + _laurent(c, lo) * b
+        basis = [
+            lower - q_int(j) * b for lower, b in zip([ZERO] + basis, basis + [ZERO])
+        ]
+    got = [_laurent(col, lo) for col in _horner_dense(cs)]
+    assert got == want
+
+
+@given(st.lists(st.dictionaries(
+    st.integers(min_value=-3, max_value=4),
+    st.integers(min_value=-9, max_value=9),
+    max_size=3,
+), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_qbinom_columns_clear_the_qfactorial(terms):
+    bs = [QLaurent(t) for t in terms]
+    d = len(bs) - 1
+    want = XPoly.zero()
+    for j, b in enumerate(bs):
+        want = want + qbinom_x(j) * QRatFunc(b)
+    got = XPoly([QRatFunc(c, q_factorial(d)) for c in qbinom_columns(bs)])
+    assert got == want
