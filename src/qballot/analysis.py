@@ -20,13 +20,10 @@ from math import comb
 
 from .ballot import (
     andrews_check,
-    ballot,
     path_cap,
     qballot,
     qballot_paths,
-    qcatalan,
     tilde_f,
-    tilde_f_paths,
     tilde_qcatalan,
     verify_carlitz_convolution,
 )

@@ -42,9 +42,12 @@ def path_cap() -> int:
     if raw is None:
         return DEFAULT_PATH_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"QBALLOT_PATH_CAP must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValueError(f"QBALLOT_PATH_CAP must be >= 0, got {raw!r}")
+    return cap
 
 
 def ballot(n: int, k: int) -> BigRat:

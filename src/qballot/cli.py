@@ -6,7 +6,8 @@ Newton polytopes.  Output is deterministic: the same flags always produce
 byte-identical text/JSON/CSV (SVG carries one fixed generator comment).
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
-configuration error.
+configuration error, 3 internal error (an exact division that theory
+guarantees left a remainder, i.e. a bug in qballot, not in the input).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .analysis import (
 from .ballot import TABLE, ballot, qballot, qcatalan, tilde_qcatalan
 from .csequence import METHODS, c_family, format_qbinom
 from .qcore import to_qbinom_basis
+from .qlaurent import ExactnessError
 from .report import SuiteReport
 
 
@@ -356,6 +358,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ExactnessError as exc:
+        print(f"qballot: internal error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"qballot: {exc}", file=sys.stderr)
         return 2

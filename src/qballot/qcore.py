@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, starmap, zip_longest
-from math import comb
 from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -32,7 +31,6 @@ from .qlaurent import (
     ONE,
     Q,
     ZERO,
-    BigRat,
     ExactnessError,
     QLaurent,
     QRatFunc,
@@ -40,6 +38,7 @@ from .qlaurent import (
     RF_ZERO,
     _coerce_ratfunc,
     _dense_frac,
+    poly_gcd,
     ql_divexact,
 )
 
@@ -67,16 +66,6 @@ def q_factorial(n: int) -> QLaurent:
     if n <= 1:
         return ONE
     return QLaurent(enumerate(_qint_mul_dense(_dense_frac(q_factorial(n - 1)), n)))
-
-
-@cache
-def q_pochhammer(k: int) -> QLaurent:
-    """(q; q)_k = (1 - q)(1 - q^2)...(1 - q^k)."""
-    if k < 0:
-        raise ValueError("(q;q)_k needs k >= 0")
-    if k == 0:
-        return ONE
-    return q_pochhammer(k - 1) * (ONE - Q**k)
 
 
 @cache
@@ -237,14 +226,8 @@ class XPoly:
     __rmul__ = __mul__
 
     def eval(self, point: ScalarLike) -> QRatFunc:
-        """Evaluate at x = point in Q(q) by Horner's rule."""
-        p = _coerce_ratfunc(point)
-        if p is NotImplemented:
-            raise TypeError(f"not a Q(q) point: {point!r}")
-        acc = RF_ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * p + c
-        return acc
+        """Evaluate at x = point in Q(q): the constant term of f(0 x + point)."""
+        return subst_affine(self, 0, point).coeff(0)
 
     # -- comparison, hashing, display -----------------------------------------
 
@@ -305,7 +288,7 @@ def xpoly_from_laurent(coeffs: Sequence[QLaurent]) -> XPoly:
     return XPoly([QRatFunc(c) for c in coeffs])
 
 
-# -- the two interpolating bases ----------------------------------------------
+# -- the q-binomial basis ----------------------------------------------------
 
 
 @cache
@@ -315,94 +298,88 @@ def qbinom_x(k: int) -> XPoly:
         raise ValueError("qbinom_x needs k >= 0")
     if k == 0:
         return XPoly.const(1)
-    prev = qbinom_x(k - 1)
-    num = _mul_linear(prev, RF_ONE, QRatFunc(-q_int(k - 1)))
-    inv = QRatFunc(ONE, q_int(k))
-    return num * inv
-
-
-@cache
-def newton_p(k: int) -> XPoly:
-    """p_k(x) = (-1)^k q^(-k(k-1)/2) (x-1)(x-q)...(x-q^(k-1)) / (q;q)_k.
-
-    Satisfies p_k(q^n) = gauss_binom(n, k).
-    """
-    if k < 0:
-        raise ValueError("newton_p needs k >= 0")
-    if k == 0:
-        return XPoly.const(1)
-    prev_num = XPoly.const(1)
-    for i in range(k):
-        prev_num = _mul_linear(prev_num, RF_ONE, QRatFunc(-(Q**i)))
-    scale = QRatFunc(
-        QLaurent.monomial(-comb(k, 2), (-1) ** k),
-        q_pochhammer(k),
-    )
-    return prev_num * scale
-
-
-def _mul_linear(f: XPoly, a: QRatFunc, b: QRatFunc) -> XPoly:
-    """(a x + b) * f without building a throwaway XPoly."""
-    if f.is_zero:
-        return f
-    cs = f.coeffs
-    out = [RF_ZERO] * (len(cs) + 1)
-    for i, c in enumerate(cs):
-        if c.is_zero:
-            continue
-        out[i] = out[i] + b * c
-        out[i + 1] = out[i + 1] + a * c
-    while out and out[-1].is_zero:
-        out.pop()
-    return XPoly._raw(tuple(out))
+    return qbinom_x(k - 1) * XPoly([-q_int(k - 1), 1]) * QRatFunc(ONE, q_int(k))
 
 
 # -- q-difference operators ---------------------------------------------------
+#
+# Every operation on an XPoly below clears denominators once
+# (_clear_denominators), computes on Laurent numerators over that one shared
+# denominator (_subst_laurent, _hahn_laurent), and builds one reduced QRatFunc
+# per output coefficient at the end.
+
+
+def _clear_denominators(cs: Sequence[QRatFunc]) -> tuple[list[QLaurent], QLaurent]:
+    """Write cs[k] = nums[k] / den with every nums[k] Laurent and one shared den."""
+    den = ONE
+    for c in cs:
+        if c.den != ONE and c.den != den:
+            g = poly_gcd(den, c.den)
+            den = den * ql_divexact(c.den, g)
+    nums = []
+    for c in cs:
+        scale = den if c.den == ONE else ql_divexact(den, c.den)
+        nums.append(c.num if scale == ONE else c.num * scale)
+    return nums, den
+
+
+def _subst_laurent(
+    cs: Sequence[QLaurent], a: QLaurent, b: QLaurent, d: QLaurent = ONE
+) -> list[QLaurent]:
+    """x-columns of sum_k cs[k] (a x + b)^k d^(n-k), n = len(cs) - 1.
+
+    Horner's rule homogenised by d: with f = sum_k cs[k] x^k this is
+    d^n f((a x + b) / d), so rational a and b cost one division at the end
+    instead of a gcd at every step.  Returns n + 1 columns.
+    """
+    acc = [cs[-1]]
+    dk = ONE
+    for c in reversed(cs[:-1]):
+        # acc * (a x + b) + c d^(n-k)
+        dk = dk * d
+        nxt = [b * t for t in acc] + [ZERO]
+        for i, t in enumerate(acc):
+            nxt[i + 1] = nxt[i + 1] + a * t
+        nxt[0] = nxt[0] + c * dk
+        acc = nxt
+    return acc
 
 
 def subst_affine(f: XPoly, a: ScalarLike, b: ScalarLike) -> XPoly:
-    """f(a x + b), computed by Horner's rule over Q(q)."""
+    """f(a x + b)."""
     ra = _coerce_ratfunc(a)
     rb = _coerce_ratfunc(b)
     if ra is NotImplemented or rb is NotImplemented:
         raise TypeError("affine substitution needs Q(q) scalars")
     if f.degree <= 0:
         return f
-    acc = XPoly.const(f.leading)
-    for k in range(f.degree - 1, -1, -1):
-        acc = _mul_linear(acc, ra, rb)
-        c = f.coeff(k)
-        if not c.is_zero:
-            acc = acc + XPoly.const(c)
-    return acc
+    nums, den = _clear_denominators(f.coeffs)
+    (an, bn), d = _clear_denominators((ra, rb))
+    scale = den * d**f.degree
+    return XPoly(QRatFunc(c, scale) for c in _subst_laurent(nums, an, bn, d))
 
 
-_QM1 = QRatFunc(Q - ONE)
+def _hahn_laurent(cs: Sequence[QLaurent]) -> list[QLaurent]:
+    """One Hahn step on a dense x-coefficient list over Q[q, q^-1]."""
+    d = len(cs) - 1
+    num = [s - c for s, c in zip(_subst_laurent(cs, Q, ONE), cs)]
+    # Divide from the constant term up: the divisor 1 + (q-1)x is a unit
+    # at x = 0, so the quotient is determined term by term.
+    qm1 = Q - ONE
+    g = [num[0]]
+    for k in range(1, d):
+        g.append(num[k] - qm1 * g[k - 1])
+    if (num[d] - qm1 * g[d - 1]) if d >= 1 else num[0]:
+        raise ExactnessError("Hahn difference left a remainder; internal invariant broken")
+    return g
 
 
 def hahn_delta(f: XPoly) -> XPoly:
     """(f(1 + qx) - f(x)) / (1 + (q-1) x); exact for every polynomial f."""
     if f.degree <= 0:
         return _XP_ZERO
-    num = subst_affine(f, QRatFunc(Q), RF_ONE) - f
-    d = num.degree
-    # Divide from the constant term up: the divisor 1 + (q-1)x is a unit
-    # at x = 0, so the quotient is determined term by term.
-    g = [num.coeff(0)]
-    for k in range(1, d):
-        g.append(num.coeff(k) - _QM1 * g[k - 1])
-    if num.coeff(d) != _QM1 * g[d - 1]:
-        raise ExactnessError("Hahn difference left a remainder; internal invariant broken")
-    return XPoly(g)
-
-
-def q_derivative(f: XPoly) -> XPoly:
-    """(f(qx) - f(x)) / ((q-1) x); termwise this is c_k [k]_q x^(k-1)."""
-    if f.degree <= 0:
-        return _XP_ZERO
-    return XPoly(
-        [f.coeff(k) * QRatFunc(q_int(k)) for k in range(1, f.degree + 1)]
-    )
+    nums, den = _clear_denominators(f.coeffs)
+    return XPoly(QRatFunc(g, den) for g in _hahn_laurent(nums))
 
 
 # -- q-binomial-basis expansions ----------------------------------------------
@@ -463,48 +440,11 @@ class QBinomExpansion:
         return cls(QRatFunc.from_json(c) for c in data["coeffs"])
 
 
-def _clear_denominators(f: XPoly) -> tuple[list[QLaurent], QLaurent]:
-    """Write f = (sum n_k x^k) / den with all n_k Laurent and one shared den."""
-    from .qlaurent import poly_gcd
-
-    den = ONE
-    for c in f.coeffs:
-        if c.den != ONE and c.den != den:
-            g = poly_gcd(den, c.den)
-            den = den * ql_divexact(c.den, g)
-    nums = []
-    for c in f.coeffs:
-        scale = den if c.den == ONE else ql_divexact(den, c.den)
-        nums.append(c.num if scale == ONE else c.num * scale)
-    return nums, den
-
-
-def _hahn_laurent(cs: list[QLaurent]) -> list[QLaurent]:
-    """One Hahn step on a dense x-coefficient list over Q[q, q^-1]."""
-    d = len(cs) - 1
-    acc = [cs[d]]
-    for k in range(d - 1, -1, -1):
-        nxt = [ZERO] * (len(acc) + 1)
-        for i, c in enumerate(acc):
-            nxt[i] = nxt[i] + c
-            nxt[i + 1] = nxt[i + 1] + c.shifted(1)
-        nxt[0] = nxt[0] + cs[k]
-        acc = nxt
-    num = [acc[i] - cs[i] for i in range(d + 1)]
-    qm1 = Q - ONE
-    g = [num[0]]
-    for k in range(1, d):
-        g.append(num[k] - qm1 * g[k - 1])
-    if (num[d] - qm1 * g[d - 1]) if d >= 1 else num[0]:
-        raise ExactnessError("Hahn difference left a remainder; internal invariant broken")
-    return g
-
-
 def to_qbinom_basis(f: XPoly) -> QBinomExpansion:
     """Expansion coefficients c_j = (delta^j f)(0) in the {x choose j}_q basis."""
     if f.is_zero:
         return QBinomExpansion([RF_ZERO])
-    nums, den = _clear_denominators(f)
+    nums, den = _clear_denominators(f.coeffs)
     bs = [nums[0]]
     cur = nums
     while len(cur) > 1:
@@ -518,15 +458,9 @@ def from_qbinom_basis(e: QBinomExpansion) -> XPoly:
     coeffs = list(e.coeffs)
     while len(coeffs) > 1 and coeffs[-1].is_zero:
         coeffs.pop()
-    if all(c.den == ONE for c in coeffs):
-        return columns_over_qfactorial(
-            qbinom_columns([c.num for c in coeffs]), len(coeffs) - 1
-        )
-    out = XPoly.zero()
-    for j, c in enumerate(coeffs):
-        if not c.is_zero:
-            out = out + qbinom_x(j) * c
-    return out
+    nums, den = _clear_denominators(coeffs)
+    out = columns_over_qfactorial(qbinom_columns(nums), len(coeffs) - 1)
+    return out if den == ONE else out * QRatFunc(ONE, den)
 
 
 def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
@@ -690,36 +624,7 @@ def q_stirling(n: int, k: int) -> QLaurent:
     return q_stirling(n - 1, k - 1) + q_int(k) * q_stirling(n - 1, k)
 
 
-# -- Newton interpolation over Q(q) -------------------------------------------
-
-
-def newton_interpolate(nodes: Sequence[ScalarLike], values: Sequence[ScalarLike]) -> XPoly:
-    """The unique polynomial of degree < len(nodes) through the given points.
-
-    Uses divided differences; repeated nodes are rejected.
-    """
-    xs = [_coerce_ratfunc(x) for x in nodes]
-    ys = [_coerce_ratfunc(y) for y in values]
-    if NotImplemented in xs or NotImplemented in ys:
-        raise TypeError("interpolation needs Q(q) nodes and values")
-    if len(xs) != len(ys):
-        raise ValueError("nodes and values differ in length")
-    if len(set(xs)) != len(xs):
-        raise ValueError("repeated interpolation nodes")
-    if not xs:
-        return XPoly.zero()
-    table = list(ys)
-    n = len(xs)
-    coefs = [table[0]]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - j])
-        coefs.append(table[j])
-    acc = XPoly.const(coefs[-1])
-    for j in range(n - 2, -1, -1):
-        acc = _mul_linear(acc, RF_ONE, -xs[j])
-        acc = acc + XPoly.const(coefs[j])
-    return acc
+# -- q = 1 specialization --------------------------------------------------
 
 
 def q1_specialize(f: XPoly) -> XPoly:

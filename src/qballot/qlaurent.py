@@ -329,16 +329,6 @@ Q = QLaurent._raw({1: 1})
 # -- gcd and exact division over Q[q, q^-1] -----------------------------------
 
 
-def _dense_int(p: QLaurent) -> list[int]:
-    """Primitive integer dense coefficient list of p / q^min_exp, low to high."""
-    prim = p.primitive()
-    lo, hi = prim.min_exp, prim.max_exp
-    out = [0] * (hi - lo + 1)
-    for e, c in prim._terms.items():
-        out[e - lo] = int(c)
-    return out
-
-
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
@@ -386,10 +376,10 @@ def poly_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero or b.is_zero:
         p = b if a.is_zero else a
-        dense = _dense_int(p)
+        dense = _dense_frac(p.primitive())
         g = dense if dense[-1] > 0 else [-c for c in dense]
         return QLaurent(enumerate(g))
-    da, db = _dense_int(a), _dense_int(b)
+    da, db = _dense_frac(a.primitive()), _dense_frac(b.primitive())
     if len(da) < len(db):
         da, db = db, da
     # Primitive polynomial remainder sequence: strip integer content each

@@ -167,6 +167,11 @@ def test_path_cap_env(monkeypatch):
     monkeypatch.setenv("QBALLOT_PATH_CAP", "not-a-number")
     with pytest.raises(ValueError):
         path_cap()
+    monkeypatch.setenv("QBALLOT_PATH_CAP", "0")
+    assert path_cap() == 0
+    monkeypatch.setenv("QBALLOT_PATH_CAP", "-5")
+    with pytest.raises(ValueError, match=">= 0"):
+        path_cap()
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,27 @@ def test_conjecture_exit_one_on_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_internal_exactness_error_exits_three(capsys, monkeypatch):
+    from qballot.qlaurent import ExactnessError
+
+    def broken(n):
+        raise ExactnessError("remainder left")
+
+    monkeypatch.setattr(cli, "theorem1_numerator", broken)
+    assert main(["conjecture", "--max-n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qballot: internal error: remainder left\n"
+
+
+def test_negative_path_cap_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("QBALLOT_PATH_CAP", "-5")
+    assert main(["verify", "prop1", "--max-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["qballot: QBALLOT_PATH_CAP must be >= 0, got '-5'"]
+
+
 def test_conjecture_requires_two(capsys):
     assert main(["conjecture", "--max-n", "1"]) == 2
     assert "must be >= 2" in capsys.readouterr().err

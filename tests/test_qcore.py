@@ -1,5 +1,5 @@
-"""q-integers, Gaussian binomials, x-polynomials over Q(q), and the two
-interpolating bases."""
+"""q-integers, Gaussian binomials, x-polynomials over Q(q), and the
+q-binomial basis."""
 
 from fractions import Fraction
 from math import comb
@@ -25,13 +25,9 @@ from qballot.qcore import (
     from_qbinom_basis,
     gauss_binom,
     hahn_delta,
-    newton_interpolate,
-    newton_p,
     q1_specialize,
-    q_derivative,
     q_factorial,
     q_int,
-    q_pochhammer,
     q_stirling,
     qbinom_x,
     _horner_dense,
@@ -70,12 +66,6 @@ def test_q_factorial():
     assert q_factorial(4).eval_at(1) == 24
     with pytest.raises(ValueError):
         q_factorial(-1)
-
-
-def test_pochhammer_vs_factorial():
-    # (q;q)_k = (1-q)^k [k]_q!
-    for k in range(0, 7):
-        assert q_pochhammer(k) == (ONE - Q) ** k * q_factorial(k)
 
 
 # ---------------------------------------------------------------------------
@@ -233,58 +223,6 @@ def test_hahn_delta_lowers_qbinom():
 
 
 # ---------------------------------------------------------------------------
-# the Newton basis p_k
-
-
-def test_newton_p_interpolates_gauss_binom():
-    for n in range(0, 7):
-        node = QRatFunc(QLaurent.monomial(n))
-        for k in range(0, 7):
-            assert newton_p(k).eval(node) == QRatFunc(gauss_binom(n, k)), (n, k)
-
-
-def test_q_derivative_monomials():
-    x = XPoly.x()
-    f = x * x * x
-    assert q_derivative(f) == x * x * QRatFunc(q_int(3))
-    assert q_derivative(XPoly.const(7)).is_zero
-
-
-def test_q_derivative_lowers_newton_p():
-    # D_q p_k = q^(1-k)/(q-1) p_{k-1}
-    for k in range(1, 6):
-        scale = QRatFunc(QLaurent.monomial(1 - k), Q - 1)
-        assert q_derivative(newton_p(k)) == newton_p(k - 1) * scale
-
-
-def test_q_derivative_iterated_on_newton_p():
-    # D_q^j p_k = q^(binom(j+1,2) - jk) / (q-1)^j p_{k-j}
-    for k in range(0, 6):
-        for j in range(0, k + 1):
-            f = newton_p(k)
-            for _ in range(j):
-                f = q_derivative(f)
-            scale = QRatFunc(
-                QLaurent.monomial(j * (j + 1) // 2 - j * k), (Q - 1) ** j
-            )
-            assert f == newton_p(k - j) * scale, (k, j)
-
-
-def test_newton_basis_coefficient_extraction():
-    # If f = sum c_j p_j then c_j = q^(binom(j,2)) (q-1)^j (D_q^j f)(1).
-    coeffs = [QRatFunc(ONE + Q), QRatFunc(Q, ONE + Q), QRatFunc(QLaurent.monomial(-1))]
-    f = XPoly.zero()
-    for j, c in enumerate(coeffs):
-        f = f + newton_p(j) * c
-    one = QRatFunc(ONE)
-    g = f
-    for j, c in enumerate(coeffs):
-        scale = QRatFunc(QLaurent.monomial(j * (j - 1) // 2), ONE) * QRatFunc((Q - 1) ** j)
-        assert scale * g.eval(one) == c, j
-        g = q_derivative(g)
-
-
-# ---------------------------------------------------------------------------
 # affine substitution
 
 
@@ -311,6 +249,47 @@ def test_subst_affine_composes():
 def test_subst_affine_rejects_bad_scalars():
     with pytest.raises(TypeError):
         subst_affine(XPoly.x(), "q", 0)
+
+
+# The three operations below share one Laurent Horner; each is checked
+# against plain XPoly / QRatFunc arithmetic on rational inputs.
+
+small_scalars = st.builds(
+    lambda num, den: QRatFunc(QLaurent(num), den),
+    st.dictionaries(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-6, max_value=6),
+        max_size=3,
+    ),
+    st.sampled_from([ONE, ONE + Q, QLaurent({0: 2}), q_int(3), Q - 2]),
+)
+small_xpolys = st.lists(small_scalars, max_size=5).map(XPoly)
+
+
+@given(small_xpolys, small_scalars, small_scalars)
+@settings(max_examples=40, deadline=None)
+def test_subst_affine_matches_naive(f, a, b):
+    lin = XPoly([b, a])
+    want, power = XPoly.zero(), XPoly.const(1)
+    for c in f.coeffs:
+        want = want + power * c
+        power = power * lin
+    assert subst_affine(f, a, b) == want
+
+
+@given(small_xpolys, small_scalars)
+@settings(max_examples=40, deadline=None)
+def test_eval_matches_naive(f, p):
+    want = RF_ZERO
+    for k, c in enumerate(f.coeffs):
+        want = want + c * p**k
+    assert f.eval(p) == want
+
+
+@given(small_xpolys)
+@settings(max_examples=40, deadline=None)
+def test_hahn_delta_times_divisor_is_the_difference(f):
+    assert XPoly([1, Q - 1]) * hahn_delta(f) == subst_affine(f, Q, 1) - f
 
 
 # ---------------------------------------------------------------------------
@@ -387,25 +366,6 @@ def test_q_stirling_from_monomial_expansion():
         for k in range(0, n + 1):
             got = e.coeffs[k] if k < len(e.coeffs) else RF_ZERO
             assert got == QRatFunc(q_factorial(k) * q_stirling(n, k)), (n, k)
-
-
-# ---------------------------------------------------------------------------
-# Newton interpolation over Q(q)
-
-
-def test_newton_interpolate_recovers_polynomial():
-    f = _xp({0: 1, 1: 2}, {2: 1}, {0: 1, 3: -1})
-    nodes = [QRatFunc(q_int(i)) for i in range(4)]
-    values = [f.eval(x) for x in nodes]
-    assert newton_interpolate(nodes, values) == f
-
-
-def test_newton_interpolate_errors():
-    with pytest.raises(ValueError):
-        newton_interpolate([RF_ONE, RF_ONE], [RF_ZERO, RF_ONE])
-    with pytest.raises(ValueError):
-        newton_interpolate([RF_ONE], [RF_ZERO, RF_ONE])
-    assert newton_interpolate([], []).is_zero
 
 
 # ---------------------------------------------------------------------------
