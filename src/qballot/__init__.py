@@ -1,147 +1,51 @@
 """Exact arithmetic for q-ballot numbers, q-Catalan numbers, and the
-interpolating polynomial family C_n(x|q)."""
+interpolating polynomial family C_n(x|q).
+
+The names below are the documented API (see README); everything else is
+importable from its own module.  The function ballot() is not re-exported
+here, so that `qballot.ballot` stays the submodule."""
 
 from .analysis import (
-    NewtonPolytope,
-    NumeratorReport,
     SUITES,
-    expected_upper_slopes,
     newton_polytope,
     numerator,
     run_suite,
     svg_polytope,
     theorem1_numerator,
 )
-from .ballot import (
-    ANDREWS_READINGS,
-    BallotTable,
-    TABLE,
-    andrews_check,
-    ballot,
-    path_cap,
-    qballot,
-    qballot_paths,
-    qcatalan,
-    tilde_f,
-    tilde_f_paths,
-    tilde_qcatalan,
-    verify_carlitz_convolution,
-)
+from .ballot import andrews_check, qballot, qcatalan
 from .csequence import (
-    CFamily,
-    METHODS,
-    c_difference,
-    c_eval_qint,
     c_family,
-    c_q1,
-    c_q1_at_int,
-    c_recurrence,
-    c_shifted_theorem1,
     c_theorem1,
     format_qbinom,
-    q1_identity_reports,
-    theorem1_coefficient_data,
     theorem1_columns,
     theorem1_qbinom_coeffs,
 )
-from .qcore import (
-    QBinomExpansion,
-    XPoly,
-    cyclotomic,
-    from_qbinom_basis,
-    gauss_binom,
-    hahn_delta,
-    q1_specialize,
-    q_factorial,
-    q_int,
-    q_stirling,
-    qbinom_x,
-    qfactorial_coprime,
-    reduce_by_qfactorial,
-    subst_affine,
-    to_qbinom_basis,
-)
-from .qlaurent import (
-    BigRat,
-    ExactnessError,
-    ONE,
-    Q,
-    QLaurent,
-    QRatFunc,
-    RF_ONE,
-    RF_ZERO,
-    ZERO,
-    poly_gcd,
-    ql_divexact,
-)
-from .report import CheckResult, SuiteReport
+from .qcore import XPoly, from_qbinom_basis, to_qbinom_basis
+from .qlaurent import ExactnessError, Q, QLaurent, QRatFunc
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANDREWS_READINGS",
-    "BallotTable",
-    "BigRat",
-    "CFamily",
-    "CheckResult",
     "ExactnessError",
-    "METHODS",
-    "NewtonPolytope",
-    "NumeratorReport",
-    "ONE",
     "Q",
-    "QBinomExpansion",
     "QLaurent",
     "QRatFunc",
-    "RF_ONE",
-    "RF_ZERO",
     "SUITES",
-    "SuiteReport",
-    "TABLE",
     "XPoly",
-    "ZERO",
     "andrews_check",
-    "ballot",
-    "c_difference",
-    "c_eval_qint",
     "c_family",
-    "c_q1",
-    "c_q1_at_int",
-    "c_recurrence",
-    "c_shifted_theorem1",
     "c_theorem1",
-    "cyclotomic",
-    "expected_upper_slopes",
     "format_qbinom",
     "from_qbinom_basis",
-    "gauss_binom",
-    "hahn_delta",
     "newton_polytope",
     "numerator",
-    "path_cap",
-    "poly_gcd",
-    "q1_identity_reports",
-    "q1_specialize",
-    "q_factorial",
-    "q_int",
-    "q_stirling",
     "qballot",
-    "qballot_paths",
-    "qbinom_x",
     "qcatalan",
-    "qfactorial_coprime",
-    "ql_divexact",
-    "reduce_by_qfactorial",
     "run_suite",
-    "subst_affine",
     "svg_polytope",
-    "theorem1_coefficient_data",
     "theorem1_columns",
     "theorem1_numerator",
     "theorem1_qbinom_coeffs",
-    "tilde_f",
-    "tilde_f_paths",
-    "tilde_qcatalan",
     "to_qbinom_basis",
-    "verify_carlitz_convolution",
 ]

@@ -50,7 +50,6 @@ from .qcore import (
     to_qbinom_basis,
 )
 from .qlaurent import (
-    ONE,
     Q,
     ZERO,
     ExactnessError,
@@ -111,14 +110,11 @@ def numerator(n: int, c: XPoly) -> NumeratorReport:
     cols: list[QLaurent] = []
     cleared = True
     for ck in c.coeffs:
-        if ck.den == ONE:
-            cols.append(ck.num * den)
-            continue
-        try:
-            cols.append(ck.num * ql_divexact(den, ck.den))
-        except ExactnessError:
-            cleared = False
-            cols.append(QRatFunc(ck.num * den, ck.den).num)
+        # ck.den divides den iff it is their gcd; either way the column is
+        # the numerator of the reduced fraction ck.num * den / ck.den.
+        g = poly_gcd(den, ck.den)
+        cleared = cleared and g == ck.den
+        cols.append(ck.num * ql_divexact(den, g))
     return _numerator_report(n, tuple(cols), den, cleared)
 
 
@@ -137,25 +133,7 @@ def _numerator_report(
     # leftover denominator.
     is_poly = cleared and all(col.is_zero or col.min_exp >= 0 for col in cols)
 
-    if den == ONE:
-        irreducible = True
-    else:
-        co = qfactorial_coprime(cols, n - 1)
-        if co is None:  # non-integer columns: fall back to a generic gcd fold
-            content: QLaurent | None = None
-            for col in cols:
-                if col.is_zero:
-                    continue
-                content = col if content is None else poly_gcd(content, col)
-                if content == ONE:
-                    break
-            irreducible = (
-                content is None
-                or content == ONE
-                or poly_gcd(content, den) == ONE
-            )
-        else:
-            irreducible = co
+    irreducible = qfactorial_coprime(cols, n - 1)
 
     positive = all(
         v > 0 for col in cols for _, v in col.items()
@@ -517,7 +495,7 @@ def _suite_stirling(maxn: int) -> SuiteReport:
         e = to_qbinom_basis(XPoly([0] * n + [1]))
         for k in range(n + 1):
             want = QRatFunc(q_factorial(k) * q_stirling(n, k))
-            got = e.coeffs[k] if k < len(e.coeffs) else RF_ZERO
+            got = e[k] if k < len(e) else RF_ZERO
             ok = got == want
             rep.results.append(
                 CheckResult("stirling-difference", n, k, ok,

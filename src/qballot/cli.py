@@ -4,6 +4,8 @@ Subcommands reproduce the ballot-number tables and polynomial displays,
 run named verification suites, sweep the positivity conjecture, and export
 Newton polytopes.  Output is deterministic: the same flags always produce
 byte-identical text/JSON/CSV (SVG carries one fixed generator comment).
+Each cmd_* function returns its output text and exit code; main() loads the
+--cache file before it, saves the file after it, and then writes the text.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, 3 internal error (an exact division that theory
@@ -34,23 +36,6 @@ from .qlaurent import ExactnessError
 from .report import SuiteReport
 
 
-def _emit(text: str, out: Optional[Path]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
-
-
-def _load_cache(path: Optional[Path]) -> None:
-    if path is not None and path.exists():
-        TABLE.load(str(path))
-
-
-def _save_cache(path: Optional[Path]) -> None:
-    if path is not None:
-        TABLE.save(str(path))
-
-
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -66,16 +51,14 @@ def _json_text(data: object) -> str:
 # -- table --------------------------------------------------------------------
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 0:
         raise ValueError("--max-n must be >= 0")
-    _load_cache(args.cache)
     if args.which == 1:
         entries = [[int(ballot(n, k)) for k in range(n + 1)] for n in range(maxn + 1)]
     else:
         entries = [[str(qballot(n, k)) for k in range(n + 1)] for n in range(maxn + 1)]
-    _save_cache(args.cache)
     if args.format == "json":
         rows = [{"n": n, "entries": entries[n]} for n in range(maxn + 1)]
         text = _json_text({"table": args.which, "max_n": maxn, "rows": rows})
@@ -92,20 +75,17 @@ def cmd_table(args: argparse.Namespace) -> int:
             for n in range(maxn + 1)
         ]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 # -- single values ------------------------------------------------------------
 
 
-def cmd_ballot(args: argparse.Namespace) -> int:
+def cmd_ballot(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 0 or args.k < 0:
         raise ValueError("--n and --k must be >= 0")
-    _load_cache(args.cache)
     poly = qballot(args.n, args.k)
     plain = int(ballot(args.n, args.k))
-    _save_cache(args.cache)
     if args.format == "json":
         text = _json_text(
             {
@@ -120,19 +100,16 @@ def cmd_ballot(args: argparse.Namespace) -> int:
         text = _csv_text(("n", "k", "polynomial"), [(args.n, args.k, str(poly))])
     else:
         text = f"f({args.n},{args.k}|q) = {poly}\nf({args.n},{args.k}) = {plain}\n"
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
-def cmd_catalan(args: argparse.Namespace) -> int:
+def cmd_catalan(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 0:
         raise ValueError("--max-n must be >= 0")
-    _load_cache(args.cache)
     rows = [
         (n, str(qcatalan(n)), str(tilde_qcatalan(n))) for n in range(maxn + 1)
     ]
-    _save_cache(args.cache)
     if args.format == "json":
         text = _json_text(
             {
@@ -150,22 +127,19 @@ def cmd_catalan(args: argparse.Namespace) -> int:
             lines.append(f"C_{n}(q) = {c}")
             lines.append(f"reversed C_{n}(q) = {r}")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 # -- the polynomial family ----------------------------------------------------
 
 
-def cmd_cx(args: argparse.Namespace) -> int:
+def cmd_cx(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 1:
         raise ValueError("--n must be >= 1 (the family starts at C_1)")
-    _load_cache(args.cache)
     poly = c_family(args.method, args.n).poly(args.n)
-    _save_cache(args.cache)
     if args.basis == "qbinom":
         e = to_qbinom_basis(poly)
-        coeffs = [str(c) for c in e.coeffs]
+        coeffs = [str(c) for c in e]
         if args.format == "json":
             text = _json_text(
                 {
@@ -196,8 +170,7 @@ def cmd_cx(args: argparse.Namespace) -> int:
             text = _csv_text(("k", "coefficient"), list(enumerate(coeffs)))
         else:
             text = f"C_{args.n}(x|q) = {poly}\n"
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 # -- verification -------------------------------------------------------------
@@ -207,12 +180,10 @@ def _report_text(rep: SuiteReport) -> str:
     return "\n".join(rep.lines()) + "\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
-    _load_cache(args.cache)
     rep = run_suite(args.suite, args.max_n)
-    _save_cache(args.cache)
     if args.format == "json":
         text = _json_text(rep.to_json())
     elif args.format == "csv":
@@ -223,17 +194,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = _csv_text(("id", "n", "k", "pass", "detail"), rows)
     else:
         text = _report_text(rep)
-    _emit(text, args.out)
-    return 0 if rep.passed else 1
+    return text, 0 if rep.passed else 1
 
 
-def cmd_conjecture(args: argparse.Namespace) -> int:
+def cmd_conjecture(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 2:
         raise ValueError("--max-n must be >= 2")
-    _load_cache(args.cache)
     reports = [theorem1_numerator(n) for n in range(2, maxn + 1)]
-    _save_cache(args.cache)
 
     ok = all(r.ok for r in reports)
     if args.format == "json":
@@ -272,22 +240,18 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
             f"conjecture 2..{maxn}: " + ("all ok" if ok else "FAILURES above")
         )
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0 if ok else 1
+    return text, 0 if ok else 1
 
 
-def cmd_polytope(args: argparse.Namespace) -> int:
+def cmd_polytope(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 2:
         raise ValueError("--n must be >= 2 (P_1 is a single point)")
-    _load_cache(args.cache)
     p = newton_polytope(theorem1_numerator(args.n))
-    _save_cache(args.cache)
     if args.format == "svg":
         text = svg_polytope(p, title=f"P_{args.n} exponents")
     else:
         text = _json_text({"n": args.n, **p.to_json()})
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -357,7 +321,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        if args.cache is not None and args.cache.exists():
+            TABLE.load(str(args.cache))
+        text, code = args.fn(args)
+        # Saved even when a verification failed (code 1), and before any
+        # output is written, so a failed save leaves no partial result.
+        if args.cache is not None:
+            TABLE.save(str(args.cache))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            args.out.write_text(text)
+        return code
     except ExactnessError as exc:
         print(f"qballot: internal error: {exc}", file=sys.stderr)
         return 3

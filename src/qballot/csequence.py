@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .ballot import qballot, tilde_qcatalan
 from .qcore import (
-    QBinomExpansion,
     XPoly,
     columns_over_qfactorial,
     from_qbinom_basis,
@@ -100,13 +99,12 @@ def _minus_one_over_q_binom(j: int) -> QRatFunc:
 
 def _difference_step(cur: XPoly) -> XPoly:
     rhs = subst_affine(cur, _Q_SQUARED, _ONE_PLUS_Q) * _RF_Q
-    b = to_qbinom_basis(rhs)
-    coeffs = [RF_ZERO] + list(b.coeffs)
+    coeffs = [RF_ZERO, *to_qbinom_basis(rhs)]
     const = RF_ZERO
     for j in range(1, len(coeffs)):
         const = const - coeffs[j] * _minus_one_over_q_binom(j)
     coeffs[0] = const
-    return from_qbinom_basis(QBinomExpansion(coeffs))
+    return from_qbinom_basis(coeffs)
 
 
 def c_difference(nmax: int) -> CFamily:
@@ -178,7 +176,9 @@ def c_recurrence(nmax: int) -> CFamily:
         while len(_RECURRENCE) < nmax:
             nxt = _recurrence_step(_REC_COORDS)
             _REC_COORDS.append(nxt)
-            _RECURRENCE.append(from_qbinom_basis(QBinomExpansion(nxt)))
+            _RECURRENCE.append(
+                columns_over_qfactorial(qbinom_columns(nxt), len(nxt) - 1)
+            )
         polys = tuple(_RECURRENCE[:nmax])
     return CFamily("recurrence", polys)
 
@@ -222,21 +222,7 @@ def c_shifted_theorem1(n: int) -> XPoly:
     for j in range(n):
         shift = j * n + n * (n + 1) // 2 - (j + 1) * (j + 2) // 2
         out.append(qballot(n + j, n - 1 - j).subs_q_inverse().shifted(shift))
-    return from_qbinom_basis(QBinomExpansion(out))
-
-
-def theorem1_coefficient_data(n: int) -> list[dict]:
-    """Per-j record of the C_{n+1} q-binomial coefficients: is each one a
-    polynomial in q (no negative exponents) with nonnegative integer
-    coefficients?  Recorded as data, not asserted."""
-    rows = []
-    for j, c in enumerate(theorem1_qbinom_coeffs(n)):
-        is_poly = c.is_zero or c.min_exp >= 0
-        nonneg = all(isinstance(v, int) and v > 0 for _, v in c.items())
-        rows.append(
-            {"j": j, "coeff": str(c), "polynomial": is_poly, "nonnegative": nonneg}
-        )
-    return rows
+    return columns_over_qfactorial(qbinom_columns(out), n - 1)
 
 
 def c_family(method: str, nmax: int) -> CFamily:
@@ -343,10 +329,10 @@ def q1_identity_reports(maxn: int) -> SuiteReport:
 # -- rendering ----------------------------------------------------------------
 
 
-def format_qbinom(e: QBinomExpansion) -> str:
-    """Render a q-binomial expansion as '(1+q) + (q+q^2+q^3)*qbinom(x,1) + ...'."""
+def format_qbinom(coeffs: Sequence[QRatFunc]) -> str:
+    """Render q-binomial coordinates as '(1+q) + (q+q^2+q^3)*qbinom(x,1) + ...'."""
     parts = []
-    for j, c in enumerate(e.coeffs):
+    for j, c in enumerate(coeffs):
         if c == RF_ZERO:
             continue
         cs = str(c)

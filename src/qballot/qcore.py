@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, starmap, zip_longest
 from operator import sub
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .qlaurent import (
     ONE,
@@ -38,6 +38,7 @@ from .qlaurent import (
     RF_ZERO,
     _coerce_ratfunc,
     _dense_frac,
+    _divexact_dense,
     poly_gcd,
     ql_divexact,
 )
@@ -262,13 +263,6 @@ class XPoly:
     def __repr__(self) -> str:
         return f"XPoly({self})"
 
-    def to_json(self) -> dict:
-        return {"coeffs": [c.to_json() for c in self._coeffs]}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "XPoly":
-        return cls(QRatFunc.from_json(c) for c in data["coeffs"])
-
 
 _XP_ZERO = XPoly._raw(())
 _XP_X = XPoly._raw((RF_ZERO, RF_ONE))
@@ -281,11 +275,6 @@ def _coerce_xpoly(x: object):
     if r is NotImplemented:
         return NotImplemented
     return XPoly._raw(()) if r.is_zero else XPoly._raw((r,))
-
-
-def xpoly_from_laurent(coeffs: Sequence[QLaurent]) -> XPoly:
-    """Build an XPoly from Laurent-polynomial coefficients (denominator 1)."""
-    return XPoly([QRatFunc(c) for c in coeffs])
 
 
 # -- the q-binomial basis ----------------------------------------------------
@@ -385,81 +374,28 @@ def hahn_delta(f: XPoly) -> XPoly:
 # -- q-binomial-basis expansions ----------------------------------------------
 
 
-class QBinomExpansion:
-    """Coefficients c_j of f = sum_j c_j {x choose j}_q."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[ScalarLike]):
-        cs = []
-        for c in coeffs:
-            r = _coerce_ratfunc(c)
-            if r is NotImplemented:
-                raise TypeError(f"not a Q(q) scalar: {c!r}")
-            cs.append(r)
-        if not cs:
-            cs = [RF_ZERO]
-        self._coeffs = tuple(cs)
-
-    @property
-    def coeffs(self) -> tuple[QRatFunc, ...]:
-        return self._coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QBinomExpansion):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __str__(self) -> str:
-        parts = []
-        for j, c in enumerate(self._coeffs):
-            if c.is_zero and len(self._coeffs) > 1:
-                continue
-            cs = str(c)
-            if j == 0:
-                parts.append(cs)
-            else:
-                if len(c.num) > 1 or not c.is_polynomial:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*C(x,{j})_q")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"QBinomExpansion({self})"
-
-    def to_json(self) -> dict:
-        return {"basis": "qbinom", "coeffs": [c.to_json() for c in self._coeffs]}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "QBinomExpansion":
-        if data.get("basis") != "qbinom":
-            raise ValueError("expected a qbinom-basis expansion")
-        return cls(QRatFunc.from_json(c) for c in data["coeffs"])
-
-
-def to_qbinom_basis(f: XPoly) -> QBinomExpansion:
-    """Expansion coefficients c_j = (delta^j f)(0) in the {x choose j}_q basis."""
+def to_qbinom_basis(f: XPoly) -> tuple[QRatFunc, ...]:
+    """Coordinates c_j = (delta^j f)(0) of f = sum_j c_j {x choose j}_q;
+    the zero polynomial gives (0,)."""
     if f.is_zero:
-        return QBinomExpansion([RF_ZERO])
+        return (RF_ZERO,)
     nums, den = _clear_denominators(f.coeffs)
     bs = [nums[0]]
     cur = nums
     while len(cur) > 1:
         cur = _hahn_laurent(cur)
         bs.append(cur[0])
-    return QBinomExpansion([QRatFunc(b, den) for b in bs])
+    return tuple(QRatFunc(b, den) for b in bs)
 
 
-def from_qbinom_basis(e: QBinomExpansion) -> XPoly:
-    """Reassemble sum_j c_j {x choose j}_q as a polynomial in the monomial basis."""
-    coeffs = list(e.coeffs)
-    while len(coeffs) > 1 and coeffs[-1].is_zero:
-        coeffs.pop()
-    nums, den = _clear_denominators(coeffs)
-    out = columns_over_qfactorial(qbinom_columns(nums), len(coeffs) - 1)
+def from_qbinom_basis(coeffs: Sequence[ScalarLike]) -> XPoly:
+    """Reassemble sum_j coeffs[j] {x choose j}_q in the monomial basis."""
+    # XPoly coerces each scalar to Q(q) and trims trailing zeros.
+    cs = XPoly(coeffs).coeffs
+    if not cs:
+        return _XP_ZERO
+    nums, den = _clear_denominators(cs)
+    out = columns_over_qfactorial(qbinom_columns(nums), len(cs) - 1)
     return out if den == ONE else out * QRatFunc(ONE, den)
 
 
@@ -509,7 +445,7 @@ def reduce_by_qfactorial(num: QLaurent, d: int) -> QRatFunc:
         phi2 = _cyclo_at2(e)
         phi_dense = _cyclo_dense(e)
         while mult and val2 % phi2 == 0:
-            quot = _divexact_int(dense, phi_dense)
+            quot = _divexact_dense(dense, phi_dense)
             if quot is None:
                 break
             dense = quot
@@ -521,15 +457,16 @@ def reduce_by_qfactorial(num: QLaurent, d: int) -> QRatFunc:
     return QRatFunc._make(red, den)
 
 
-def qfactorial_coprime(cols: Sequence[QLaurent], d: int):
+def qfactorial_coprime(cols: Sequence[QLaurent], d: int) -> bool:
     """Is the gcd of the given Laurent polynomials coprime to [d]_q!?
 
     [d]_q! is a product of cyclotomics Phi_e (e >= 2), each irreducible
     over Q, so the gcd shares a factor with it iff some Phi_e divides every
     column; that is decided by an exact integer division per column, with a
-    q = 2 evaluation as a cheap necessary filter.  Returns None when a
-    column has non-integer coefficients (caller must fall back to a
-    generic gcd).
+    q = 2 evaluation as a cheap necessary filter.  A column with a
+    non-integer coefficient is sieved by its primitive part: Phi_e is
+    primitive, so by Gauss's lemma it divides a polynomial in Q[q] iff it
+    divides the primitive part.
     """
     if d <= 1:
         return True
@@ -539,7 +476,7 @@ def qfactorial_coprime(cols: Sequence[QLaurent], d: int):
             continue
         dense = _dense_frac(col)
         if not all(isinstance(c, int) for c in dense):
-            return None
+            dense = _dense_frac(col.primitive())
         prepared.append((sum(c << e for e, c in enumerate(dense)), dense))
     if not prepared:
         return True
@@ -548,31 +485,11 @@ def qfactorial_coprime(cols: Sequence[QLaurent], d: int):
         if any(v2 % phi2 for v2, _ in prepared):
             continue
         if all(
-            _divexact_int(dense, _cyclo_dense(e)) is not None
+            _divexact_dense(dense, _cyclo_dense(e)) is not None
             for _, dense in prepared
         ):
             return False
     return True
-
-
-def _divexact_int(a: list[int], b: tuple[int, ...]):
-    """Exact ascending division of integer dense lists; b[0] must be 1."""
-    n = len(a) - len(b) + 1
-    if n <= 0:
-        return None
-    rem = list(a)
-    quot = [0] * n
-    for k in range(n):
-        c = rem[k]
-        if c:
-            quot[k] = c
-            for j, bc in enumerate(b):
-                rem[k + j] -= c * bc
-    if any(rem):
-        return None
-    while quot and quot[-1] == 0:
-        quot.pop()
-    return quot
 
 
 # Dense kernel: a polynomial is a coefficient list read upward from an offset

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 BigRat = Fraction
 
@@ -299,10 +299,6 @@ class QLaurent:
         """Pairs [exponent, coefficient-string], sorted by exponent."""
         return [[e, str(c)] for e, c in self.items()]
 
-    @classmethod
-    def from_json(cls, data: Iterable) -> "QLaurent":
-        return cls((int(e), Fraction(c)) for e, c in data)
-
 
 def _coeff_str(c: CoeffLike, standalone: bool) -> str:
     f = Fraction(c)
@@ -402,25 +398,32 @@ def ql_divexact(a: QLaurent, b: QLaurent) -> QLaurent:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return _ZERO
-    off = a.min_exp - b.min_exp
-    da = _dense_frac(a)
-    db = _dense_frac(b)
-    if len(da) < len(db):
+    quot = _divexact_dense(_dense_frac(a), _dense_frac(b))
+    if quot is None:
         raise ExactnessError(f"({a}) is not divisible by ({b})")
-    # Ascending synthetic division; db[0] != 0 after stripping valuations.
-    n = len(da) - len(db) + 1
+    return QLaurent(enumerate(quot, a.min_exp - b.min_exp))
+
+
+def _divexact_dense(a: list[CoeffLike], b: Sequence[CoeffLike]) -> list[CoeffLike] | None:
+    """Exact quotient of dense coefficient lists read from q^0, or None on a
+    remainder.  Needs b[0] != 0; when a[-1] and b[-1] are nonzero, so is the
+    quotient's last entry."""
+    n = len(a) - len(b) + 1
+    if n <= 0:
+        return None
+    # Ascending synthetic division: term k of the quotient clears rem[k].
+    b0 = b[0]
+    rem = list(a)
     quot: list[CoeffLike] = [0] * n
-    b0 = db[0]
-    rem = list(da)
     for k in range(n):
-        if rem[k]:
-            cq = rem[k] if b0 == 1 else _as_coeff(Fraction(rem[k]) / Fraction(b0))
-            quot[k] = cq
-            for j, bc in enumerate(db):
-                rem[k + j] -= cq * bc
-    if any(rem):
-        raise ExactnessError(f"({a}) is not divisible by ({b})")
-    return QLaurent((k + off, c) for k, c in enumerate(quot))
+        c = rem[k]
+        if c:
+            if b0 != 1:
+                c = _as_coeff(Fraction(c) / b0)
+            quot[k] = c
+            for j, bc in enumerate(b):
+                rem[k + j] -= c * bc
+    return None if any(rem) else quot
 
 
 def _dense_frac(p: QLaurent, lo: int | None = None) -> list[CoeffLike]:
@@ -496,11 +499,6 @@ class QRatFunc:
     @property
     def is_polynomial(self) -> bool:
         return self.den == _ONE
-
-    def to_laurent(self) -> QLaurent:
-        if self.den != _ONE:
-            raise ExactnessError(f"({self}) is not a Laurent polynomial")
-        return self.num
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -593,13 +591,6 @@ class QRatFunc:
 
     def __repr__(self) -> str:
         return f"QRatFunc({self})"
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "QRatFunc":
-        return cls(QLaurent.from_json(data["num"]), QLaurent.from_json(data["den"]))
 
 
 RF_ZERO = QRatFunc._make(_ZERO, _ONE)

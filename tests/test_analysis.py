@@ -18,7 +18,7 @@ from qballot.analysis import (
     theorem1_numerator,
 )
 from qballot.csequence import c_theorem1
-from qballot.qcore import XPoly, cyclotomic, q_factorial, xpoly_from_laurent
+from qballot.qcore import XPoly, cyclotomic, q_factorial
 from qballot.qlaurent import ONE, Q, QLaurent, QRatFunc
 
 # ---------------------------------------------------------------------------
@@ -81,6 +81,7 @@ def test_numerator_uncleared_denominator():
     c = XPoly([QRatFunc(ONE, cyclotomic(5))])
     r = numerator(3, c)
     assert not r.is_polynomial
+    assert r.numerator == (ONE + Q,)  # the reduced numerator of [2]_q!/Phi_5
     assert not r.ok
     with pytest.raises(ValueError, match="did not clear"):
         newton_polytope(r)
@@ -88,7 +89,7 @@ def test_numerator_uncleared_denominator():
 
 def test_numerator_reducible_fraction():
     # every column divisible by 1 + q = Phi_2, which divides [2]_q!
-    c = xpoly_from_laurent([ONE + Q, (ONE + Q).shifted(3)])
+    c = XPoly([ONE + Q, (ONE + Q).shifted(3)])
     r = numerator(3, c)
     assert r.is_polynomial
     assert not r.is_irreducible_fraction
@@ -104,7 +105,7 @@ def test_numerator_rational_coefficients_use_generic_gcd():
 
 
 def test_numerator_negative_coefficient():
-    c = xpoly_from_laurent([ONE - Q])
+    c = XPoly([ONE - Q])
     r = numerator(2, c)
     assert r.is_polynomial and r.is_irreducible_fraction
     assert not r.all_coeffs_positive

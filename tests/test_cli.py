@@ -1,11 +1,19 @@
 """End-to-end coverage of the qballot command-line interface."""
 
+import contextlib
+import functools
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qballot.ballot as ballot_mod
 import qballot.cli as cli
 from qballot.ballot import BallotTable, qballot
 from qballot.cli import main
@@ -143,12 +151,16 @@ def test_verify_andrews_reports_clean_exit(capsys):
     assert out.splitlines()[-1].endswith("(reported)")
 
 
-def test_verify_exit_one_on_failure(capsys, monkeypatch):
+def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
     failing = SuiteReport("carlitz")
     failing.results.append(CheckResult("convolution-area", 1, None, False, "boom"))
     monkeypatch.setattr(cli, "run_suite", lambda name, maxn: failing)
     assert main(["verify", "carlitz"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+    # a failed verification still saves the cache
+    cache = tmp_path / "cache.json"
+    assert main(["verify", "carlitz", "--cache", str(cache)]) == 1
+    assert json.loads(cache.read_text())["schema"] == BallotTable.SCHEMA
 
 
 def test_verify_unknown_suite():
@@ -289,6 +301,9 @@ _SCHEMA = BallotTable.SCHEMA
         json.dumps({"schema": _SCHEMA, "entries": {"4,3": [[0, "7"]]}}),
         # right value at q = 1 but nothing to prove the polynomial from
         json.dumps({"schema": _SCHEMA, "entries": {"4,3": [[0, "14"]]}}),
+        # right value at q = 1, neighbours present, but f(1,1) is q, not 1
+        json.dumps({"schema": _SCHEMA, "entries": {
+            "0,0": [[0, "1"]], "1,0": [[0, "1"]], "1,1": [[0, "1"]]}}),
         "[]",
         json.dumps({"schema": _SCHEMA}),
         json.dumps({"schema": _SCHEMA, "entries": {"3,4": [[0, "1"]]}}),
@@ -297,7 +312,7 @@ _SCHEMA = BallotTable.SCHEMA
         json.dumps({"schema": _SCHEMA, "entries": {"x": [[0, "1"]]}}),
         "{",
     ],
-    ids=["tampered", "unproven", "root-list", "no-entries", "k-gt-n",
+    ids=["tampered", "unproven", "breaks-recurrence", "root-list", "no-entries", "k-gt-n",
          "fraction", "float-exponent", "bad-key", "not-json"],
 )
 def test_cache_rejected(tmp_path, capsys, text):
@@ -330,6 +345,111 @@ def test_cache_written_by_program_loads_back(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
     assert (tmp_path / "cache.json").stat().st_size > small
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]  # no temp files
+
+
+def _run_cold(argv):
+    """main(argv) on an empty memo table, as in a fresh process: the run sees
+    no entry that the cache file did not provide.  Returns (code, out, err)."""
+    table = BallotTable()
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(ballot_mod, "TABLE", table), \
+            mock.patch.object(cli, "TABLE", table), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def _uncached_out(argv):
+    code, out, err = _run_cold(list(argv))
+    assert (code, err) == (0, "")
+    return out
+
+
+@functools.cache
+def _written_cache():
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "cache.json")
+        assert _run_cold(["table", "2", "--max-n", "5", "--cache", str(path)])[0] == 0
+        return path.read_bytes()
+
+
+@st.composite
+def _mutated_cache(draw):
+    """A file the program wrote, edited either as JSON (a term, an entry or a
+    key changed, once or twice) or as bytes (a few replaced, deleted or
+    inserted)."""
+    blob = _written_cache()
+    if draw(st.booleans()):
+        data = json.loads(blob)
+        entries = data["entries"]
+        for _ in range(draw(st.integers(1, 2))):
+            key = draw(st.sampled_from(sorted(k for k, t in entries.items() if t)))
+            terms = entries[key]
+            i = draw(st.integers(0, len(terms) - 1))
+            op = draw(st.sampled_from(["coeff", "unit", "drop-term", "drop-entry", "move"]))
+            if op == "coeff":
+                terms[i][1] = str(draw(st.integers(-2, 3)))
+            elif op == "unit":  # moves 1 between two terms: same value at q = 1
+                donors = [t for t, (_, c) in enumerate(terms) if int(c) > 1 and t != i]
+                if donors:
+                    j = draw(st.sampled_from(donors))
+                    terms[i][1] = str(int(terms[i][1]) + 1)
+                    terms[j][1] = str(int(terms[j][1]) - 1)
+            elif op == "drop-term":
+                del terms[i]
+            elif op == "drop-entry" and len(entries) > 1:
+                del entries[key]
+            elif op == "move":
+                entries[f"{draw(st.integers(0, 7))},{draw(st.integers(0, 7))}"] = entries.pop(key)
+        return json.dumps(data).encode()
+    blob = bytearray(blob)
+    piece = st.one_of(
+        st.binary(min_size=1, max_size=2),
+        st.sampled_from([b"0", b"1", b"2", b"9", b",", b"-", b'"', b"]", b" "]),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from("rdi"))
+        i = draw(st.integers(0, len(blob)))
+        new = draw(piece)
+        if op == "r":
+            blob[i:i + len(new)] = new
+        elif op == "d":
+            del blob[i:i + len(new)]
+        else:
+            blob[i:i] = new
+    return bytes(blob)
+
+
+# Small n and k, mostly inside the 0 <= k <= n <= 5 triangle the file holds.
+_FUZZ_ARGV = st.one_of(
+    st.tuples(st.just("ballot"), st.just("--n"), st.integers(0, 6).map(str),
+              st.just("--k"), st.integers(0, 6).map(str)),
+    st.tuples(st.just("table"), st.just("2"), st.just("--max-n"), st.integers(0, 6).map(str)),
+    st.tuples(st.just("catalan"), st.just("--max-n"), st.integers(0, 6).map(str)),
+)
+
+
+@given(
+    argv=st.tuples(_FUZZ_ARGV, st.sampled_from(["text", "json", "csv"])).map(
+        lambda a: (*a[0], "--format", a[1])
+    ),
+    blob=st.one_of(st.binary(max_size=64), _mutated_cache()),
+)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_fuzz_cache_bytes(tmp_path, argv, blob):
+    cache = tmp_path / "cache.json"  # rewritten by every example
+    cache.write_bytes(blob)
+    code, out, err = _run_cold([*argv, "--cache", str(cache)])
+    assert code in (0, 2)
+    if code == 0:
+        assert (out, err) == (_uncached_out(argv), "")
+    else:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qballot: cache "), err
+        assert cache.read_bytes() == blob
 
 
 def test_unreadable_out_path(tmp_path, capsys):

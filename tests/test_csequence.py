@@ -20,7 +20,6 @@ from qballot.csequence import (
     c_theorem1,
     format_qbinom,
     q1_identity_reports,
-    theorem1_coefficient_data,
     theorem1_qbinom_coeffs,
 )
 from qballot.qcore import (
@@ -239,16 +238,17 @@ def test_q1_identity_reports():
 
 
 def test_theorem1_coefficient_data_shape():
-    rows = theorem1_coefficient_data(3)
-    assert [r["j"] for r in rows] == [0, 1, 2, 3]
-    assert all(r["polynomial"] and r["nonnegative"] for r in rows)
-    assert rows[3]["coeff"] == "q^9"
+    coeffs = theorem1_qbinom_coeffs(3)
+    assert len(coeffs) == 4
+    assert str(coeffs[3]) == "q^9"
 
 
 def test_theorem1_coefficients_observed_positive():
+    # every coordinate is a polynomial in q with positive integer coefficients
     for n in range(0, 9):
-        for r in theorem1_coefficient_data(n):
-            assert r["polynomial"] and r["nonnegative"], (n, r)
+        for j, c in enumerate(theorem1_qbinom_coeffs(n)):
+            assert c.is_polynomial, (n, j)
+            assert all(type(v) is int and v > 0 for _, v in c.items()), (n, j)
 
 
 def test_format_qbinom():

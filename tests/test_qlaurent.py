@@ -216,7 +216,7 @@ def test_str_forms():
 def test_json_roundtrip(a):
     blob = a.to_json()
     assert blob == sorted(blob)
-    assert QLaurent.from_json(blob) == a
+    assert QLaurent((e, Fraction(c)) for e, c in blob) == a
 
 
 def test_json_shape():
@@ -266,6 +266,10 @@ def test_divexact_inverts_multiplication(a, b):
 def test_divexact_rejects_remainders():
     with pytest.raises(ExactnessError):
         ql_divexact(ONE + Q, ONE - Q)
+    with pytest.raises(ExactnessError):  # divisor longer than the dividend
+        ql_divexact(ONE, ONE + Q)
+    with pytest.raises(ExactnessError):  # a leading coefficient other than 1
+        ql_divexact(ONE + Q, QLaurent({0: 2, 1: 1}))
     with pytest.raises(ZeroDivisionError):
         ql_divexact(ONE, ZERO)
 
@@ -284,7 +288,7 @@ def test_ratfunc_reduces_common_factors():
     r = QRatFunc(Q * Q - 1, Q - 1)
     assert r == QRatFunc(ONE + Q)
     assert r.is_polynomial
-    assert r.to_laurent() == ONE + Q
+    assert r.num == ONE + Q
 
 
 def test_ratfunc_moves_monomial_factors_to_numerator():
@@ -328,12 +332,6 @@ def test_division_by_zero_ratfunc():
         RF_ONE / RF_ZERO
 
 
-def test_to_laurent_requires_trivial_denominator():
-    r = QRatFunc(ONE, ONE + Q)
-    with pytest.raises(ExactnessError):
-        r.to_laurent()
-
-
 @given(ratfuncs())
 @settings(max_examples=30, deadline=None)
 def test_ratfunc_q_inverse_involution(a):
@@ -352,12 +350,6 @@ def test_ratfunc_str():
     assert str(QRatFunc(ONE + Q)) == "1+q"
     assert str(QRatFunc(Q, ONE + Q)) == "q/(1+q)"
     assert str(QRatFunc(ONE + Q, QLaurent({0: 1, 1: 1, 2: 1}))) == "(1+q)/(1+q+q^2)"
-
-
-@given(ratfuncs())
-@settings(max_examples=30, deadline=None)
-def test_ratfunc_json_roundtrip(a):
-    assert QRatFunc.from_json(a.to_json()) == a
 
 
 @given(ratfuncs())
