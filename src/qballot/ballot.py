@@ -27,6 +27,7 @@ import re
 import threading
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Optional
 
 from .qlaurent import ONE, ZERO, BigRat, ExactnessError, QLaurent
@@ -59,15 +60,39 @@ def ballot(n: int, k: int) -> BigRat:
     return Fraction((n - k + 1) * comb(n + k, k), n + 1)
 
 
+# A nonzero f(n, k | q) is stored as a dense row (lo, [c_lo, ..., c_hi]):
+# the coefficients of q^lo .. q^hi, with no zero at either end.  Rows are
+# never mutated once made, so the table and a loaded file may share lists.
+Row = tuple[int, list[int]]
+
+_ONE_ROW: Row = (0, [1])
+
+
+def _next_row(left: Row, up: Optional[Row], k: int) -> Row:
+    """f(n,k) = q f(n,k-1) + q^k f(n-1,k) on rows, for k >= 1; up is None
+    when k = n.
+
+    f(m,j) starts at q^j, so the up term (from q^2k) never starts below the
+    left one (from q^k); every coefficient is positive, so the sum keeps
+    nonzero ends."""
+    lo, cs = left[0] + 1, left[1]
+    if up is None:
+        return lo, cs
+    off, ucs = up[0] + k - lo, up[1]
+    out = cs + [0] * (off + len(ucs) - len(cs))
+    out[off:off + len(ucs)] = map(add, out[off:off + len(ucs)], ucs)
+    return lo, out
+
+
 class BallotTable:
     """Memoized table of f(n, k | q), safe for concurrent readers.
 
-    Writes happen under a single lock; completed entries are immutable
-    QLaurent values, so handing them out without the lock is safe.
+    Writes happen under a single lock; completed entries are immutable rows,
+    so reading them without the lock is safe.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], QLaurent] = {}
+        self._entries: dict[tuple[int, int], Row] = {}
         self._lock = threading.Lock()
 
     def get(self, n: int, k: int) -> QLaurent:
@@ -75,48 +100,47 @@ class BallotTable:
             raise ValueError("qballot needs n, k >= 0")
         if k > n:
             return ZERO
-        key = (n, k)
-        hit = self._entries.get(key)
-        if hit is not None:
-            return hit
-        with self._lock:
-            return self._fill(n, k)
+        row = self._entries.get((n, k))
+        if row is None:
+            with self._lock:
+                row = self._fill(n, k)
+        return QLaurent(enumerate(row[1], row[0]))
 
-    def _fill(self, n: int, k: int) -> QLaurent:
+    def _fill(self, n: int, k: int) -> Row:
         t = self._entries
         for m in range(n + 1):
             for j in range(min(m, k) + 1):
                 if (m, j) in t:
                     continue
-                if j == 0:
-                    t[(m, j)] = ONE
-                    continue
-                left = t[(m, j - 1)]
-                up = t.get((m - 1, j), ZERO)
-                t[(m, j)] = left.shifted(1) + up.shifted(j)
+                t[(m, j)] = _next_row(t[(m, j - 1)], t.get((m - 1, j)), j) if j else _ONE_ROW
         return t[(n, k)]
 
-    def known(self) -> dict[tuple[int, int], QLaurent]:
+    def known(self) -> dict[tuple[int, int], Row]:
         with self._lock:
             return dict(self._entries)
 
     # -- persistence (CLI --cache) --------------------------------------------
 
-    SCHEMA = "qballot-table-v1"
+    SCHEMA = "qballot-table-v2"
 
     def dump_json(self) -> dict:
-        entries = {f"{n},{k}": p.to_json() for (n, k), p in sorted(self.known().items())}
+        """The table as {"schema", "entries": {"n,k": [lo, [c_lo, ..., c_hi]]}},
+        entries in (n, k) order."""
+        entries = {f"{n},{k}": [lo, cs] for (n, k), (lo, cs) in sorted(self.known().items())}
         return {"schema": self.SCHEMA, "entries": entries}
 
     def load_json(self, data: object) -> int:
         """Add the entries of a dumped table; raises ValueError, and adds
         nothing, unless every entry is well-formed and provably right.
 
-        Each entry must equal ballot(n, k) at q = 1, and satisfy
-        f(n,k) = q f(n,k-1) + q^k f(n-1,k) (f(n,0) = 1) against neighbours
-        that are in the table or in the file.  A table this class fills holds
-        every neighbour of every entry, so a file it wrote always passes, and
-        the checks then prove each entry by induction on n + k.
+        Entries are proven in (n, k) order.  Each must equal the row that
+        f(n,k) = q f(n,k-1) + q^k f(n-1,k) (f(n,0) = 1) gives from rows in
+        the table or proven before it, so an entry whose neighbours are
+        missing is rejected: the file decides no amount of work, only which
+        rows are compared.  A table this class fills holds every neighbour
+        of every entry, so a file it wrote always passes.  Last, each entry
+        must count ballot(n, k) paths at q = 1, a check that does not go
+        through the row arithmetic.
         """
         if not isinstance(data, dict):
             raise ValueError("the root is not a JSON object")
@@ -125,32 +149,35 @@ class BallotTable:
         raw = data.get("entries")
         if not isinstance(raw, dict):
             raise ValueError("there is no 'entries' object")
-        parsed = {}
-        for key, poly in raw.items():
-            n, k = _parse_key(key)
-            parsed[(n, k)] = _parse_poly(key, poly)
+        parsed = sorted((_parse_key(key), _parse_row(key, row)) for key, row in raw.items())
         with self._lock:
-            known = {**self._entries, **parsed}
-            for (n, k), p in parsed.items():
-                _check_entry(n, k, p, known)
-            self._entries.update(parsed)
-        return len(parsed)
+            proven: dict[tuple[int, int], Row] = {}
+            for (n, k), row in parsed:
+                if k == 0:
+                    want = _ONE_ROW
+                else:
+                    left = proven.get((n, k - 1)) or self._entries.get((n, k - 1))
+                    up = proven.get((n - 1, k)) or self._entries.get((n - 1, k))
+                    if left is None or (up is None and k < n):
+                        raise ValueError(f"entry '{n},{k}' lacks the neighbours that prove it")
+                    want = _next_row(left, up, k)
+                if row != want:
+                    raise ValueError(f"entry '{n},{k}' breaks the ballot recurrence")
+                proven[(n, k)] = row
+            for (n, k), (_, cs) in parsed:
+                if sum(cs) != ballot(n, k):
+                    raise ValueError(f"entry '{n},{k}' does not count ballot({n},{k}) paths")
+            self._entries.update(proven)
+        return len(proven)
 
     def save(self, path: str) -> None:
         """Write the table as JSON, atomically: a reader sees the old file or
         the new one, never a partial write."""
-        # The bytes of json.dump(self.dump_json(), fh, sort_keys=True, ...),
-        # written entry by entry through the C encoder, which json.dump never
-        # uses, without holding the whole document or its text in memory.
-        entries = sorted((f"{n},{k}", p) for (n, k), p in self.known().items())
+        text = json.dumps(self.dump_json(), separators=(",", ":"))
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                fh.write('{"entries":{')
-                for i, (key, p) in enumerate(entries):
-                    body = json.dumps(p.to_json(), separators=(",", ":"))
-                    fh.write(f'{"," if i else ""}"{key}":{body}')
-                fh.write(f'}},"schema":"{self.SCHEMA}"}}')
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -182,44 +209,18 @@ def _parse_key(key: str) -> tuple[int, int]:
     return n, k
 
 
-def _parse_poly(key: str, poly: object) -> QLaurent:
-    # Pairs [exponent, nonzero integer coefficient as a string], as to_json
-    # writes them, each exponent once.
-    bad = ValueError(f"entry {key!r} is not a list of [exponent, integer] pairs")
-    if not isinstance(poly, list):
-        raise bad
-    terms: dict[int, int] = {}
-    for pair in poly:
-        if not (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and type(pair[0]) is int
-            and isinstance(pair[1], str)
-        ):
-            raise bad
-        try:
-            c = int(pair[1])
-        except ValueError:
-            raise bad from None
-        if not c or pair[0] in terms:
-            raise bad
-        terms[pair[0]] = c
-    return QLaurent(terms)
-
-
-def _check_entry(n: int, k: int, p: QLaurent, known: dict) -> None:
-    if sum(c for _, c in p.items()) != ballot(n, k):
-        raise ValueError(f"entry '{n},{k}' does not count ballot({n},{k}) paths")
-    if k == 0:
-        ok = p == ONE
-    else:
-        left = known.get((n, k - 1))
-        up = known.get((n - 1, k)) if k < n else ZERO
-        if left is None or up is None:
-            raise ValueError(f"entry '{n},{k}' lacks the neighbours that prove it")
-        ok = p == left.shifted(1) + up.shifted(k)
-    if not ok:
-        raise ValueError(f"entry '{n},{k}' breaks the ballot recurrence")
+def _parse_row(key: str, row: object) -> Row:
+    # [offset, [coefficients]], every number a JSON integer: bool and float
+    # compare equal to int (True == 1.0 == 1), so the type is checked.
+    if not (
+        isinstance(row, list)
+        and len(row) == 2
+        and type(row[0]) is int
+        and isinstance(row[1], list)
+        and all(type(c) is int for c in row[1])
+    ):
+        raise ValueError(f"entry {key!r} is not [offset, [integer coefficients]]")
+    return row[0], row[1]
 
 
 TABLE = BallotTable()

@@ -1,12 +1,16 @@
 """Ballot numbers, their q-analogues, path-statistic oracles, and the
 q-Catalan sums."""
 
+import functools
 import json
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qballot.ballot as ballot_mod
 from qballot.ballot import (
     ANDREWS_READINGS,
     DEFAULT_PATH_CAP,
@@ -274,6 +278,12 @@ def test_table_roundtrip(tmp_path):
     reloaded = BallotTable()
     assert reloaded.load(str(p)) > 0
     assert reloaded.get(4, 3) == qballot(4, 3)
+    # the same entries, filled in another order, give the same bytes
+    other = BallotTable()
+    other.get(4, 1)
+    other.get(4, 3)
+    other.save(str(tmp_path / "other.json"))
+    assert (tmp_path / "other.json").read_bytes() == p.read_bytes()
 
 
 def test_table_rejects_unknown_schema(tmp_path):
@@ -287,12 +297,26 @@ def test_table_load_is_all_or_nothing():
     t = BallotTable()
     t.get(4, 3)
     blob = t.dump_json()
-    # right at q = 1, wrong as a polynomial: the recurrence catches it
-    blob["entries"]["4,3"] = [[3, "13"], [9, "1"]]
+    # right at q = 1, wrong as a polynomial: the recurrence catches it, after
+    # every other entry of the file has been proven
+    blob["entries"]["4,3"] = [3, [13, 0, 0, 0, 0, 0, 1]]
     fresh = BallotTable()
     with pytest.raises(ValueError, match="recurrence"):
         fresh.load_json(blob)
     assert fresh.known() == {}
+
+
+def test_table_load_counts_paths_without_the_row_kernel(monkeypatch):
+    # A faulty row recurrence fills wrong rows and would prove them against
+    # each other; the count at q = 1 comes from the closed form instead.
+    def without_up(left, up, k):
+        return left[0] + 1, left[1]
+
+    monkeypatch.setattr(ballot_mod, "_next_row", without_up)
+    t = BallotTable()
+    t.get(4, 3)
+    with pytest.raises(ValueError, match=r"'2,1' does not count"):
+        BallotTable().load_json(t.dump_json())
 
 
 def test_table_concurrent_reads_match_serial():
@@ -316,6 +340,44 @@ def test_table_concurrent_reads_match_serial():
 
 # ---------------------------------------------------------------------------
 # properties
+
+
+@functools.cache
+def _sparse_reference(n, k):
+    # The same recurrence on sparse QLaurent values, with no row arithmetic.
+    if k > n:
+        return ZERO
+    if k == 0:
+        return ONE
+    return _sparse_reference(n, k - 1).shifted(1) + _sparse_reference(n - 1, k).shifted(k)
+
+
+_NK = st.integers(0, 25).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+
+
+@given(_NK)
+@settings(max_examples=60, deadline=None)
+def test_table_rows_match_sparse_recurrence_and_paths(nk):
+    n, k = nk
+    got = BallotTable().get(n, k)
+    assert got == _sparse_reference(n, k)
+    if n + k <= 14:
+        assert got == qballot_paths(n, k)
+
+
+@given(_NK, _NK)
+@settings(max_examples=30, deadline=None)
+def test_table_rows_survive_save_and_load(stored, asked):
+    t = BallotTable()
+    t.get(*stored)
+    with tempfile.TemporaryDirectory() as d:
+        path = str(Path(d, "cache.json"))
+        t.save(path)
+        fresh = BallotTable()
+        assert fresh.load(path) == len(t.known())
+    assert fresh.known() == t.known()
+    assert fresh.get(*stored) == t.get(*stored)
+    assert fresh.get(*asked) == t.get(*asked)
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=10))

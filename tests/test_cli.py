@@ -294,26 +294,44 @@ def test_cache_bad_schema(tmp_path, capsys):
 _SCHEMA = BallotTable.SCHEMA
 
 
+def _v2(entries):
+    return json.dumps({"schema": _SCHEMA, "entries": entries})
+
+
+# f(0,0) = f(1,0) = 1 and f(1,1) = q, each right; the cases below edit them
+_SMALL = {"0,0": [0, [1]], "1,0": [0, [1]], "1,1": [1, [1]]}
+
+
 @pytest.mark.parametrize(
     "text",
     [
         # right shape, wrong value: must never print f(4,3|q) = 7
-        json.dumps({"schema": _SCHEMA, "entries": {"4,3": [[0, "7"]]}}),
+        _v2({"4,3": [0, [7]]}),
         # right value at q = 1 but nothing to prove the polynomial from
-        json.dumps({"schema": _SCHEMA, "entries": {"4,3": [[0, "14"]]}}),
+        _v2({"4,3": [0, [14]]}),
         # right value at q = 1, neighbours present, but f(1,1) is q, not 1
-        json.dumps({"schema": _SCHEMA, "entries": {
-            "0,0": [[0, "1"]], "1,0": [[0, "1"]], "1,1": [[0, "1"]]}}),
+        _v2({**_SMALL, "1,1": [0, [1]]}),
         "[]",
         json.dumps({"schema": _SCHEMA}),
-        json.dumps({"schema": _SCHEMA, "entries": {"3,4": [[0, "1"]]}}),
-        json.dumps({"schema": _SCHEMA, "entries": {"0,0": [[0, "1/1"]]}}),
-        json.dumps({"schema": _SCHEMA, "entries": {"0,0": [[0.0, "1"]]}}),
-        json.dumps({"schema": _SCHEMA, "entries": {"x": [[0, "1"]]}}),
+        _v2({"3,4": [0, [1]]}),
+        _v2({"0,0": [0, ["1/1"]]}),
+        _v2({"0,0": [0.0, [1]]}),
+        _v2({"x": [0, [1]]}),
         "{",
+        # [1.0] == [True] == [1] in Python: only a type check tells them apart
+        _v2({"0,0": [0, [1.0]]}),
+        _v2({"0,0": [0, [True]]}),
+        _v2({**_SMALL, "1,1": [0, [0, 1]]}),
+        _v2({**_SMALL, "1,1": [1, [1, 0]]}),
+        _v2({**_SMALL, "1,1": [2, [1]]}),
+        _v2({"0,0": [0]}),
+        # the first format, [exponent, "integer"] pairs, is not read
+        json.dumps({"schema": "qballot-table-v1", "entries": {"0,0": [[0, "1"]]}}),
     ],
     ids=["tampered", "unproven", "breaks-recurrence", "root-list", "no-entries", "k-gt-n",
-         "fraction", "float-exponent", "bad-key", "not-json"],
+         "fraction", "float-exponent", "bad-key", "not-json", "float-coefficient",
+         "bool-coefficient", "zero-first", "zero-last", "offset-off-by-one", "no-row",
+         "v1-schema"],
 )
 def test_cache_rejected(tmp_path, capsys, text):
     cache = tmp_path / "bad.json"
@@ -332,6 +350,31 @@ def _cli(*argv):
         capture_output=True,
         text=True,
     )
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # ballot(4000000, 4000000) alone is comb(8000000, 4000000)
+        {"4000000,4000000": [0, [1]]},
+        {**_SMALL, "1,1": [10**18, [1]]},
+        {**_SMALL, "1,1": [1, [1] * 10**6]},
+    ],
+    ids=["huge-key", "huge-offset", "long-row"],
+)
+def test_cache_numbers_decide_no_work(tmp_path, entries):
+    # Rejected in a cold process well within the timeout: no number read from
+    # the file sets how much is computed or allocated.
+    cache = tmp_path / "bad.json"
+    cache.write_text(_v2(entries))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qballot.cli", "ballot", "--n", "2", "--k", "1",
+         "--cache", str(cache)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("qballot: cache "), proc.stderr
 
 
 def test_cache_written_by_program_loads_back(tmp_path):
@@ -376,28 +419,34 @@ def _written_cache():
 
 @st.composite
 def _mutated_cache(draw):
-    """A file the program wrote, edited either as JSON (a term, an entry or a
-    key changed, once or twice) or as bytes (a few replaced, deleted or
-    inserted)."""
+    """A file the program wrote, edited either as JSON (a coefficient, an
+    offset, an entry or a key changed, once or twice) or as bytes (a few
+    replaced, deleted or inserted)."""
     blob = _written_cache()
     if draw(st.booleans()):
         data = json.loads(blob)
         entries = data["entries"]
         for _ in range(draw(st.integers(1, 2))):
-            key = draw(st.sampled_from(sorted(k for k, t in entries.items() if t)))
-            terms = entries[key]
-            i = draw(st.integers(0, len(terms) - 1))
-            op = draw(st.sampled_from(["coeff", "unit", "drop-term", "drop-entry", "move"]))
-            if op == "coeff":
-                terms[i][1] = str(draw(st.integers(-2, 3)))
-            elif op == "unit":  # moves 1 between two terms: same value at q = 1
-                donors = [t for t, (_, c) in enumerate(terms) if int(c) > 1 and t != i]
-                if donors:
+            key = draw(st.sampled_from(sorted(entries)))
+            row = entries[key]
+            cs = row[1]
+            i = draw(st.integers(0, len(cs) - 1)) if cs else None
+            op = draw(st.sampled_from(
+                ["coeff", "retype", "unit", "drop-coeff", "offset", "drop-entry", "move"]))
+            if op == "coeff" and cs:
+                cs[i] = draw(st.integers(-2, 3))
+            elif op == "retype" and cs:  # equal in Python, not a JSON integer
+                cs[i] = draw(st.sampled_from([float(cs[i]), cs[i] == 1, str(cs[i])]))
+            elif op == "unit" and cs:  # moves 1 between two coefficients: same value at q = 1
+                donors = [t for t, c in enumerate(cs) if type(c) is int and c > 1 and t != i]
+                if donors and type(cs[i]) is int:
                     j = draw(st.sampled_from(donors))
-                    terms[i][1] = str(int(terms[i][1]) + 1)
-                    terms[j][1] = str(int(terms[j][1]) - 1)
-            elif op == "drop-term":
-                del terms[i]
+                    cs[i] += 1
+                    cs[j] -= 1
+            elif op == "drop-coeff" and cs:
+                del cs[i]
+            elif op == "offset":
+                row[0] += draw(st.sampled_from([-1, 1]))
             elif op == "drop-entry" and len(entries) > 1:
                 del entries[key]
             elif op == "move":
