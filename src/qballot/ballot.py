@@ -14,9 +14,12 @@ polynomials, the reversed statistic A' (cells between the path and the
 staircase ceiling min(y=x, y=k)) gives the tilde family.
 
 Exhaustive path enumeration is kept alongside the recurrence as an
-independent oracle; it is capped (default n + k <= 26, override with the
-QBALLOT_PATH_CAP environment variable) because the number of paths grows
-like a Catalan number.
+independent oracle.  Every path meets the anti-diagonal x + y = (n+k)//2
+at one point, so the prefixes up to it and the suffixes from it are
+enumerated apart and joined by that point, at about the square root of
+the cost of walking every path.  It is still exponential in n + k, so it
+is capped (default n + k <= 26, override with the QBALLOT_PATH_CAP
+environment variable).
 """
 
 from __future__ import annotations
@@ -243,46 +246,78 @@ def _check_cap(total: int, cap: Optional[int]) -> None:
         )
 
 
+def _path_areas(n: int, k: int, east) -> dict[int, int]:
+    """{A: count} over the lattice paths (0,0) -> (n,k) with y <= x, where A
+    sums east(x, y) over the path's east steps (x,y) -> (x+1,y).
+
+    Each step raises x + y by one, so every path meets the anti-diagonal
+    x + y = h, h = (n+k)//2, at exactly one point.  The prefixes that stop
+    there and the suffixes that start there, each walked one by one, are
+    keyed by that point; a path is one prefix and one suffix through the
+    same point, and its area is the sum of their areas.  Walking the
+    halves visits about the square root of the path count."""
+    h = (n + k) // 2
+    heads: dict[tuple[int, int], dict[int, int]] = {}
+    stack = [(0, 0, 0)]
+    while stack:
+        x, y, area = stack.pop()
+        if x + y == h:
+            seen = heads.setdefault((x, y), {})
+            seen[area] = seen.get(area, 0) + 1
+            continue
+        if x < n:
+            stack.append((x + 1, y, area + east(x, y)))
+        if y < k and y < x:
+            stack.append((x, y + 1, area))
+    # Suffixes are walked backwards from (n, k); undoing an east step into
+    # (x, y) needs (x-1, y) on or below y = x, i.e. y < x.
+    tails: dict[tuple[int, int], dict[int, int]] = {}
+    stack = [(n, k, 0)]
+    while stack:
+        x, y, area = stack.pop()
+        if x + y == h:
+            seen = tails.setdefault((x, y), {})
+            seen[area] = seen.get(area, 0) + 1
+            continue
+        if y < x:
+            stack.append((x - 1, y, area + east(x - 1, y)))
+        if y > 0:
+            stack.append((x, y - 1, area))
+    counts: dict[int, int] = {}
+    for point, head in heads.items():
+        for b, nb in tails[point].items():
+            for a, na in head.items():
+                counts[a + b] = counts.get(a + b, 0) + na * nb
+    return counts
+
+
 def qballot_paths(n: int, k: int, cap: Optional[int] = None) -> QLaurent:
-    """f(n, k | q) by brute-force enumeration of paths, weighted by area below."""
+    """f(n, k | q) by enumeration of paths, weighted by area below.
+
+    A path (0,0) -> (n,k) is a prefix to the anti-diagonal x + y = (n+k)//2
+    joined to a suffix from the point where it meets it; that bijection
+    lets the two halves be enumerated apart.  Areas are summed at absolute
+    heights, and the forced final east step at height k adds k cells."""
     if n < 0 or k < 0:
         raise ValueError("qballot_paths needs n, k >= 0")
     _check_cap(n + k, cap)
     if k > n:
         return ZERO
-    counts: dict[int, int] = {}
-    # Enumerate prefixes to (n, k); the forced final east step adds k cells.
-    stack = [(0, 0, k)]
-    while stack:
-        x, y, area = stack.pop()
-        if x == n and y == k:
-            counts[area] = counts.get(area, 0) + 1
-            continue
-        if x < n:
-            stack.append((x + 1, y, area + y))
-        if y < k and y + 1 <= x:
-            stack.append((x, y + 1, area))
-    return QLaurent(counts)
+    counts = _path_areas(n, k, lambda x, y: y)
+    return QLaurent({area + k: c for area, c in counts.items()})
 
 
 def tilde_f_paths(m: int, n: int, cap: Optional[int] = None) -> QLaurent:
     """Sum of q^A' over the same paths, A' counting cells above the path and
-    below both y = x and y = n.  Independent of the reversal formula."""
+    below both y = x and y = n.  Independent of the reversal formula.
+
+    Enumerated as prefix/suffix pairs through the anti-diagonal
+    x + y = (m+n)//2, exactly as in qballot_paths; an east step at (x, y)
+    adds min(x, n) - y cells."""
     if m < n or n < 0:
         raise ValueError("tilde_f_paths needs m >= n >= 0")
     _check_cap(m + n, cap)
-    counts: dict[int, int] = {}
-    stack = [(0, 0, 0)]
-    while stack:
-        x, y, area = stack.pop()
-        if x == m and y == n:
-            counts[area] = counts.get(area, 0) + 1
-            continue
-        if x < m:
-            stack.append((x + 1, y, area + min(x, n) - y))
-        if y < n and y + 1 <= x:
-            stack.append((x, y + 1, area))
-    return QLaurent(counts)
+    return QLaurent(_path_areas(m, n, lambda x, y: min(x, n) - y))
 
 
 # -- reversal and Catalan families --------------------------------------------

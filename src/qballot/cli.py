@@ -184,6 +184,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
     rep = run_suite(args.suite, args.max_n)
+    # A suite with nothing to check would otherwise print "0/0 ok (pass)".
+    if not rep.results:
+        raise ValueError(f"suite {args.suite} runs no checks at --max-n {args.max_n}")
     if args.format == "json":
         text = _json_text(rep.to_json())
     elif args.format == "csv":

@@ -2,6 +2,7 @@
 q-Catalan sums."""
 
 import functools
+import itertools
 import json
 import tempfile
 import threading
@@ -144,6 +145,58 @@ def test_tilde_path_oracle():
     for m in range(7):
         for n in range(m + 1):
             assert tilde_f_paths(m, n) == tilde_f(m, n), (m, n)
+
+
+def _naive_paths(n, k, east):
+    # Every arrangement of k north steps among the n + k steps, kept when
+    # it never rises above y = x: {sum of east(x, y) over east steps: count}.
+    counts = {}
+    for north in itertools.combinations(range(n + k), k):
+        x = y = area = 0
+        for step in range(n + k):
+            if step in north:
+                y += 1
+                if y > x:
+                    break
+            else:
+                area += east(x, y)
+                x += 1
+        else:
+            counts[area] = counts.get(area, 0) + 1
+    return counts
+
+
+def test_path_oracles_match_naive_enumeration():
+    for total in range(15):
+        for k in range(total // 2 + 1):
+            n = total - k
+            below = _naive_paths(n, k, lambda x, y: y)
+            assert qballot_paths(n, k) == QLaurent({a + k: c for a, c in below.items()}), (n, k)
+            above = _naive_paths(n, k, lambda x, y: min(x, k) - y)
+            assert tilde_f_paths(n, k) == QLaurent(above), (n, k)
+
+
+def test_path_oracles_past_default_cap():
+    pairs = [(t - k, k) for t in range(27, 31) for k in range(t // 2 + 1)]
+    assert len(pairs) == 60
+    for n, k in pairs:
+        assert qballot_paths(n, k, cap=30) == qballot(n, k), (n, k)
+        assert tilde_f_paths(n, k, cap=30) == tilde_f(n, k), (n, k)
+
+
+def test_path_walk_visits_halves_not_paths():
+    # The walk from each end stops at the anti-diagonal x + y = 13, so
+    # each is a tree of depth 13 with fewer than 2^14 edges, while
+    # ballot(13, 13) = 2,674,440 paths reach (13, 13).
+    steps = []
+
+    def east(x, y):
+        steps.append((x, y))
+        return y
+
+    counts = ballot_mod._path_areas(13, 13, east)
+    assert sum(counts.values()) == ballot(13, 13)
+    assert len(steps) < 2 * 2**14
 
 
 def test_tilde_is_q_reversal():

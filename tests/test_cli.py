@@ -163,6 +163,28 @@ def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
     assert json.loads(cache.read_text())["schema"] == BallotTable.SCHEMA
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjecture", "--max-n", "1"],
+        ["polytope", "--max-n", "1"],
+        ["corollary", "--max-n", "0"],
+        ["carlitz", "--max-n", "0"],
+        ["q1_identities", "--max-n", "0"],
+        ["andrews", "--max-n", "0"],
+        ["thm1", "--max-n", "0"],
+        ["thm2", "--max-n", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_verify_without_checks_exits_two(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qballot: "), captured.err
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import qballot.csequence as csequence
 from qballot.ballot import qballot, qcatalan, tilde_qcatalan
 from qballot.csequence import (
     METHODS,
@@ -20,8 +21,10 @@ from qballot.csequence import (
     c_theorem1,
     format_qbinom,
     q1_identity_reports,
+    theorem1_columns,
     theorem1_qbinom_coeffs,
 )
+from qballot.cli import main
 from qballot.qcore import (
     XPoly,
     hahn_delta,
@@ -31,7 +34,7 @@ from qballot.qcore import (
     subst_affine,
     to_qbinom_basis,
 )
-from qballot.qlaurent import ONE, Q, RF_ZERO, QLaurent, QRatFunc
+from qballot.qlaurent import ONE, Q, RF_ZERO, ExactnessError, QLaurent, QRatFunc
 
 # ---------------------------------------------------------------------------
 # hardcoded small members
@@ -187,6 +190,25 @@ def test_eval_qint_closed_form():
             shift = k * n + n * (n + 1) // 2
             want = qballot(k + n, n).subs_q_inverse().shifted(shift)
             assert c_eval_qint(n, k) == want
+
+
+@pytest.mark.parametrize("part", ["column", "closed-form"])
+def test_eval_qint_cross_check_fires(monkeypatch, capsys, part):
+    if part == "column":
+        true_columns = theorem1_columns
+        monkeypatch.setattr(
+            csequence, "theorem1_columns", lambda n: (true_columns(n)[0] + Q, *true_columns(n)[1:])
+        )
+    else:
+        for n in range(4):  # the columns are built, and kept, from the true table
+            theorem1_columns(n)
+        monkeypatch.setattr(csequence, "qballot", lambda n, k: qballot(n, k).shifted(1))
+    with pytest.raises(ExactnessError, match="n=2, k=1"):
+        c_eval_qint(2, 1)
+    assert main(["verify", "prop1", "--max-n", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "[FAIL] qint-evaluation n=2 k=1: q-integer evaluation disagrees" in "\n".join(lines)
+    assert lines[-1] == "suite prop1: 0/16 ok (fail)"
 
 
 def test_eval_qint_rejects_negatives():
