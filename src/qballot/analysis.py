@@ -69,8 +69,9 @@ from .report import CheckResult, SuiteReport
 class NumeratorReport:
     """P_n = [1]_q...[n-1]_q * C_n(x|q), column per x-degree.
 
-    When ``is_polynomial`` is false a column that failed to clear holds the
-    reduced fraction's numerator instead; the flags are the authority.
+    When the denominator does not clear, the columns are those of
+    [n-1]_q! * C_n over the leftover shared denominator (which the report
+    does not carry); the flags are the authority.
     ``coefficient_stats[k]`` is the (min, max) q-exponent of column k.
     """
 
@@ -107,15 +108,12 @@ def numerator(n: int, c: XPoly) -> NumeratorReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     den = q_factorial(n - 1)
-    cols: list[QLaurent] = []
-    cleared = True
-    for ck in c.coeffs:
-        # ck.den divides den iff it is their gcd; either way the column is
-        # the numerator of the reduced fraction ck.num * den / ck.den.
-        g = poly_gcd(den, ck.den)
-        cleared = cleared and g == ck.den
-        cols.append(ck.num * ql_divexact(den, g))
-    return _numerator_report(n, tuple(cols), den, cleared)
+    # c.den divides den iff it is their gcd; either way den * C_n is the
+    # columns c.nums * (den / g) over the leftover c.den / g.
+    g = poly_gcd(den, c.den)
+    scale = ql_divexact(den, g)
+    cols = tuple(col * scale for col in c.nums)
+    return _numerator_report(n, cols, den, g == c.den)
 
 
 def theorem1_numerator(n: int) -> NumeratorReport:
@@ -396,7 +394,7 @@ def _suite_prop2(maxn: int) -> SuiteReport:
 
 def _suite_thm1(maxn: int) -> SuiteReport:
     rep = SuiteReport("thm1")
-    fam = c_difference(maxn)
+    fam = c_difference(max(maxn, 1))
     for n in range(1, maxn + 1):
         ok = fam.poly(n) == c_theorem1(n - 1)
         rep.results.append(
@@ -415,7 +413,7 @@ def _suite_thm1(maxn: int) -> SuiteReport:
 
 def _suite_thm2(maxn: int) -> SuiteReport:
     rep = SuiteReport("thm2")
-    fam = c_recurrence(maxn)
+    fam = c_recurrence(max(maxn, 1))
     for n in range(1, maxn + 1):
         ok = fam.poly(n) == c_theorem1(n - 1)
         rep.results.append(
@@ -566,4 +564,8 @@ def run_suite(name: str, maxn: int) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if maxn < 0:
         raise ValueError("maxn must be >= 0")
-    return _SUITE_FNS[name](maxn)
+    rep = _SUITE_FNS[name](maxn)
+    # A suite with nothing to check would otherwise report "0/0 ok (pass)".
+    if not rep.results:
+        raise ValueError(f"suite {name} runs no checks at --max-n {maxn}")
+    return rep

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, starmap, zip_longest
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 from .qlaurent import (
@@ -34,11 +34,11 @@ from .qlaurent import (
     ExactnessError,
     QLaurent,
     QRatFunc,
-    RF_ONE,
     RF_ZERO,
     _coerce_ratfunc,
     _dense_frac,
     _divexact_dense,
+    lowest_terms,
     poly_gcd,
     ql_divexact,
 )
@@ -108,9 +108,16 @@ def _cyclo_at2(d: int) -> int:
 
 
 class XPoly:
-    """A polynomial in x with coefficients in Q(q), stored densely by x-degree."""
+    """A polynomial in x over Q(q): Laurent columns over one shared denominator.
 
-    __slots__ = ("_coeffs",)
+    The coefficient of x^k is nums[k] / den.  (nums, den) is in lowest shared
+    terms (`qlaurent.lowest_terms`) and nums has no trailing zero column, so
+    equal polynomials have equal (nums, den).  Operations compute on the
+    columns; the reduced per-coefficient `QRatFunc`s are built only by the
+    output views `coeffs`, `coeff`, `leading`, `str` and `eval`.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
         cs = []
@@ -121,13 +128,24 @@ class XPoly:
             cs.append(r)
         while cs and cs[-1].is_zero:
             cs.pop()
-        self._coeffs = tuple(cs)
+        nums, self.den = _clear_denominators(cs)
+        self.nums = tuple(nums)
 
     @classmethod
-    def _raw(cls, coeffs: tuple[QRatFunc, ...]) -> "XPoly":
+    def _raw(cls, nums: tuple[QLaurent, ...], den: QLaurent) -> "XPoly":
+        # Internal: (nums, den) must already be in canonical form.
         p = cls.__new__(cls)
-        p._coeffs = coeffs
+        p.nums = nums
+        p.den = den
         return p
+
+    @classmethod
+    def _make(cls, nums: Sequence[QLaurent], den: QLaurent) -> "XPoly":
+        """The polynomial sum_k nums[k] x^k / den, trimmed and reduced."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        return cls._raw(*lowest_terms(nums, den))
 
     @classmethod
     def zero(cls) -> "XPoly":
@@ -145,30 +163,30 @@ class XPoly:
 
     @property
     def coeffs(self) -> tuple[QRatFunc, ...]:
-        return self._coeffs
+        return tuple(QRatFunc(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree in x; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self.nums)
 
     def coeff(self, k: int) -> QRatFunc:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self.nums):
+            return QRatFunc(self.nums[k], self.den)
         return RF_ZERO
 
     @property
     def leading(self) -> QRatFunc:
-        if not self._coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return QRatFunc(self.nums[-1], self.den)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -176,20 +194,17 @@ class XPoly:
         other = _coerce_xpoly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        while out and out[-1].is_zero:
-            out.pop()
-        return XPoly._raw(tuple(out))
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            a = [c * other.den for c in a]
+            b = [c * den for c in b]
+            den = den * other.den
+        return XPoly._make(list(starmap(add, zip_longest(a, b, fillvalue=ZERO))), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "XPoly":
-        return XPoly._raw(tuple(-c for c in self._coeffs))
+        return XPoly._raw(tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other: object) -> "XPoly":
         other = _coerce_xpoly(other)
@@ -204,25 +219,19 @@ class XPoly:
         return other + (-self)
 
     def __mul__(self, other: object) -> "XPoly":
-        if isinstance(other, XPoly):
-            a, b = self._coeffs, other._coeffs
-            if not a or not b:
-                return _XP_ZERO
-            out = [RF_ZERO] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca.is_zero:
-                    continue
-                for j, cb in enumerate(b):
-                    out[i + j] = out[i + j] + ca * cb
-            while out and out[-1].is_zero:
-                out.pop()
-            return XPoly._raw(tuple(out))
-        s = _coerce_ratfunc(other)
-        if s is NotImplemented:
+        other = _coerce_xpoly(other)
+        if other is NotImplemented:
             return NotImplemented
-        if s.is_zero:
+        a, b = self.nums, other.nums
+        if not a or not b:
             return _XP_ZERO
-        return XPoly._raw(tuple(c * s for c in self._coeffs))
+        out = [ZERO] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
+            for j, cb in enumerate(b):
+                out[i + j] = out[i + j] + ca * cb
+        return XPoly._make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -236,16 +245,16 @@ class XPoly:
         other = _coerce_xpoly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self.nums, self.den))
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self.coeffs):
             if c.is_zero:
                 continue
             xs = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
@@ -264,8 +273,8 @@ class XPoly:
         return f"XPoly({self})"
 
 
-_XP_ZERO = XPoly._raw(())
-_XP_X = XPoly._raw((RF_ZERO, RF_ONE))
+_XP_ZERO = XPoly._raw((), ONE)
+_XP_X = XPoly._raw((ZERO, ONE), ONE)
 
 
 def _coerce_xpoly(x: object):
@@ -274,7 +283,7 @@ def _coerce_xpoly(x: object):
     r = _coerce_ratfunc(x)
     if r is NotImplemented:
         return NotImplemented
-    return XPoly._raw(()) if r.is_zero else XPoly._raw((r,))
+    return XPoly._raw((r.num,) if r else (), r.den)
 
 
 # -- the q-binomial basis ----------------------------------------------------
@@ -292,14 +301,19 @@ def qbinom_x(k: int) -> XPoly:
 
 # -- q-difference operators ---------------------------------------------------
 #
-# Every operation on an XPoly below clears denominators once
-# (_clear_denominators), computes on Laurent numerators over that one shared
-# denominator (_subst_laurent, _hahn_laurent), and builds one reduced QRatFunc
-# per output coefficient at the end.
+# An XPoly already is Laurent columns over one shared denominator, so every
+# operation below computes on its columns (_subst_laurent, _hahn_laurent)
+# with no gcd, and reduces once per result (XPoly._make).  Scalars are
+# cleared to that form by _clear_denominators, the one place outside
+# qlaurent that takes a polynomial gcd.
 
 
 def _clear_denominators(cs: Sequence[QRatFunc]) -> tuple[list[QLaurent], QLaurent]:
-    """Write cs[k] = nums[k] / den with every nums[k] Laurent and one shared den."""
+    """Write cs[k] = nums[k] / den with every nums[k] Laurent and one shared den.
+
+    den is the lcm of the reduced denominators, so the result is already in
+    lowest shared terms (`qlaurent.lowest_terms`).
+    """
     den = ONE
     for c in cs:
         if c.den != ONE and c.den != den:
@@ -342,10 +356,8 @@ def subst_affine(f: XPoly, a: ScalarLike, b: ScalarLike) -> XPoly:
         raise TypeError("affine substitution needs Q(q) scalars")
     if f.degree <= 0:
         return f
-    nums, den = _clear_denominators(f.coeffs)
     (an, bn), d = _clear_denominators((ra, rb))
-    scale = den * d**f.degree
-    return XPoly(QRatFunc(c, scale) for c in _subst_laurent(nums, an, bn, d))
+    return XPoly._make(_subst_laurent(f.nums, an, bn, d), f.den * d**f.degree)
 
 
 def _hahn_laurent(cs: Sequence[QLaurent]) -> list[QLaurent]:
@@ -367,8 +379,7 @@ def hahn_delta(f: XPoly) -> XPoly:
     """(f(1 + qx) - f(x)) / (1 + (q-1) x); exact for every polynomial f."""
     if f.degree <= 0:
         return _XP_ZERO
-    nums, den = _clear_denominators(f.coeffs)
-    return XPoly(QRatFunc(g, den) for g in _hahn_laurent(nums))
+    return XPoly._make(_hahn_laurent(f.nums), f.den)
 
 
 # -- q-binomial-basis expansions ----------------------------------------------
@@ -379,24 +390,23 @@ def to_qbinom_basis(f: XPoly) -> tuple[QRatFunc, ...]:
     the zero polynomial gives (0,)."""
     if f.is_zero:
         return (RF_ZERO,)
-    nums, den = _clear_denominators(f.coeffs)
-    bs = [nums[0]]
-    cur = nums
+    bs = [f.nums[0]]
+    cur = f.nums
     while len(cur) > 1:
         cur = _hahn_laurent(cur)
         bs.append(cur[0])
-    return tuple(QRatFunc(b, den) for b in bs)
+    return tuple(QRatFunc(b, f.den) for b in bs)
 
 
 def from_qbinom_basis(coeffs: Sequence[ScalarLike]) -> XPoly:
     """Reassemble sum_j coeffs[j] {x choose j}_q in the monomial basis."""
-    # XPoly coerces each scalar to Q(q) and trims trailing zeros.
-    cs = XPoly(coeffs).coeffs
-    if not cs:
+    # XPoly coerces each scalar to Q(q), trims trailing zeros and clears
+    # the coordinates to Laurent numerators over one shared denominator.
+    f = XPoly(coeffs)
+    if f.is_zero:
         return _XP_ZERO
-    nums, den = _clear_denominators(cs)
-    out = columns_over_qfactorial(qbinom_columns(nums), len(cs) - 1)
-    return out if den == ONE else out * QRatFunc(ONE, den)
+    out = columns_over_qfactorial(qbinom_columns(f.nums), f.degree)
+    return out if f.den == ONE else XPoly._make(out.nums, out.den * f.den)
 
 
 def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
@@ -419,77 +429,80 @@ def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
 
 
 def columns_over_qfactorial(cols: Sequence[QLaurent], d: int) -> XPoly:
-    """The polynomial sum_k cols[k] x^k / [d]_q!, each coefficient reduced."""
-    return XPoly(reduce_by_qfactorial(c, d) for c in cols)
+    """The polynomial sum_k cols[k] x^k / [d]_q!, in lowest shared terms."""
+    cols = list(cols)
+    while cols and not cols[-1]:
+        cols.pop()
+    if not cols:
+        return _XP_ZERO
+    # The sieve's result is already in lowest shared terms.
+    return XPoly._raw(*reduce_by_qfactorial(cols, d))
 
 
-def reduce_by_qfactorial(num: QLaurent, d: int) -> QRatFunc:
-    """num / [d]_q! in lowest terms, dividing out cyclotomic factors.
+def reduce_by_qfactorial(
+    cols: Sequence[QLaurent], d: int
+) -> tuple[tuple[QLaurent, ...], QLaurent]:
+    """cols[k] / [d]_q! over one shared denominator in lowest terms, as
+    (reduced columns, denominator).
 
-    [d]_q! factors as prod over e >= 2 of Phi_e^floor(d/e), and each Phi_e is
-    irreducible over Q, so peeling those factors off num yields exactly the
-    reduced fraction.  An integer evaluation at q = 2 filters hopeless
-    division attempts cheaply.
+    [d]_q! factors as prod over e >= 2 of Phi_e^floor(d/e), and each Phi_e
+    is irreducible over Q, so dividing out every Phi_e that divides every
+    column, up to its power in [d]_q!, yields exactly the lowest terms.  An
+    integer evaluation at q = 2 filters hopeless division attempts cheaply.
+    A column with a non-integer coefficient is sieved by its primitive
+    part: Phi_e is primitive, so by Gauss's lemma it divides a polynomial
+    in Q[q] iff it divides the primitive part.  A set with no nonzero
+    column has nothing to divide and comes back over [d]_q!.
     """
-    if num.is_zero:
-        return RF_ZERO
-    if d <= 1:
-        return QRatFunc._make(num, ONE)
-    v = num.min_exp
-    cont = num.content()
-    dense = _dense_frac(num.primitive())
-    val2 = sum(c << e for e, c in enumerate(dense))
-    den = ONE
+    cols = tuple(cols)
+    live = []  # (index, lowest exponent, scale, integer dense column)
+    for i, col in enumerate(cols):
+        if col:
+            dense, scale = _dense_frac(col), 1
+            if not all(type(c) is int for c in dense):
+                scale = col.content()
+                dense = _dense_frac(col.primitive())
+            live.append((i, col.min_exp, scale, dense))
+    if not live:
+        return cols, q_factorial(d)
+    denses = [dense for *_, dense in live]
+    vals2 = [sum(c << e for e, c in enumerate(dense)) for dense in denses]
+    full = den = _dense_frac(q_factorial(d))
     for e in range(2, d + 1):
-        mult = d // e
-        phi2 = _cyclo_at2(e)
-        phi_dense = _cyclo_dense(e)
-        while mult and val2 % phi2 == 0:
-            quot = _divexact_dense(dense, phi_dense)
-            if quot is None:
+        phi2, phi_dense = _cyclo_at2(e), _cyclo_dense(e)
+        for _ in range(d // e):
+            if any(v2 % phi2 for v2 in vals2):
                 break
-            dense = quot
-            val2 //= phi2
-            mult -= 1
-        if mult:
-            den = den * cyclotomic(e) ** mult
-    red = QLaurent((i + v, c * cont) for i, c in enumerate(dense))
-    return QRatFunc._make(red, den)
+            quots = _divexact_all(denses, phi_dense)
+            if quots is None:
+                break
+            denses, den = quots, _divexact_dense(den, phi_dense)
+            vals2 = [v2 // phi2 for v2 in vals2]
+    if den is full:  # nothing divided out
+        return cols, q_factorial(d)
+    out = list(cols)
+    for (i, v, scale, _), dense in zip(live, denses):
+        out[i] = QLaurent((j + v, c * scale) for j, c in enumerate(dense))
+    return tuple(out), QLaurent(enumerate(den))
+
+
+def _divexact_all(denses: list[list], b: Sequence[int]) -> list[list] | None:
+    """Every dense list divided exactly by b, or None at the first remainder."""
+    out = []
+    for a in denses:
+        quot = _divexact_dense(a, b)
+        if quot is None:
+            return None
+        out.append(quot)
+    return out
 
 
 def qfactorial_coprime(cols: Sequence[QLaurent], d: int) -> bool:
     """Is the gcd of the given Laurent polynomials coprime to [d]_q!?
 
-    [d]_q! is a product of cyclotomics Phi_e (e >= 2), each irreducible
-    over Q, so the gcd shares a factor with it iff some Phi_e divides every
-    column; that is decided by an exact integer division per column, with a
-    q = 2 evaluation as a cheap necessary filter.  A column with a
-    non-integer coefficient is sieved by its primitive part: Phi_e is
-    primitive, so by Gauss's lemma it divides a polynomial in Q[q] iff it
-    divides the primitive part.
+    True iff the sieve `reduce_by_qfactorial` divides nothing out.
     """
-    if d <= 1:
-        return True
-    prepared = []
-    for col in cols:
-        if col.is_zero:
-            continue
-        dense = _dense_frac(col)
-        if not all(isinstance(c, int) for c in dense):
-            dense = _dense_frac(col.primitive())
-        prepared.append((sum(c << e for e, c in enumerate(dense)), dense))
-    if not prepared:
-        return True
-    for e in range(2, d + 1):
-        phi2 = _cyclo_at2(e)
-        if any(v2 % phi2 for v2, _ in prepared):
-            continue
-        if all(
-            _divexact_dense(dense, _cyclo_dense(e)) is not None
-            for _, dense in prepared
-        ):
-            return False
-    return True
+    return reduce_by_qfactorial(cols, d)[1] == q_factorial(d)
 
 
 # Dense kernel: a polynomial is a coefficient list read upward from an offset
@@ -545,5 +558,12 @@ def q_stirling(n: int, k: int) -> QLaurent:
 
 
 def q1_specialize(f: XPoly) -> XPoly:
-    """The polynomial over Q obtained by evaluating every coefficient at q = 1."""
-    return XPoly([QRatFunc(QLaurent.monomial(0, c.eval_at(1))) for c in f.coeffs])
+    """The polynomial over Q obtained by evaluating every coefficient at q = 1.
+
+    den is the lcm of the coefficients' denominators, so it vanishes at
+    q = 1 iff some coefficient has a pole there (ZeroDivisionError).
+    """
+    d1 = f.den.eval_at(1)
+    if d1 == 0:
+        raise ZeroDivisionError("denominator vanishes at q=1")
+    return XPoly([c.eval_at(1) / d1 for c in f.nums])

@@ -12,7 +12,9 @@ Representation invariants:
 * `QRatFunc` stores a pair num/den of `QLaurent` with den a polynomial
   (no negative exponents), content 1, positive leading coefficient, and no
   common polynomial factor with num.  Monomial factors q^m are kept in the
-  numerator, so the denominator always has a nonzero constant term.
+  numerator, so the denominator always has a nonzero constant term.  That
+  form is `lowest_terms` with one column; `qcore.XPoly` keeps its columns
+  over one shared denominator in the same form.
 
 Both types are immutable and hashable; equality is structural, which is
 sound because construction always canonicalizes.
@@ -442,6 +444,48 @@ def _dense_frac(p: QLaurent, lo: int | None = None) -> list[CoeffLike]:
 # -- reduced rational functions ----------------------------------------------
 
 
+def lowest_terms(
+    nums: Sequence[QLaurent], den: QLaurent
+) -> tuple[tuple[QLaurent, ...], QLaurent]:
+    """The canonical form of the fractions nums[k] / den over one shared
+    denominator.
+
+    The returned den is a polynomial with a nonzero constant term, integer
+    coefficients of content 1 and a positive leading coefficient, and no
+    polynomial factor divides it and every returned column: monomials q^m go
+    to the columns, one gcd fold over den and every column (stopping at 1)
+    is divided out, and the rational content of den moves to the columns.
+    Equal fraction lists therefore have equal forms.  All-zero columns come
+    back over 1; a zero den raises ZeroDivisionError.
+    """
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator")
+    if not any(nums):
+        return tuple(nums), _ONE
+    v = den.min_exp
+    if v:
+        den = den.shifted(-v)
+        nums = [c.shifted(-v) for c in nums]
+    if den != _ONE:
+        g = den
+        for c in nums:
+            if c:
+                g = poly_gcd(g, c)
+                if g == _ONE:
+                    break
+        if g != _ONE:
+            nums = [ql_divexact(c, g) for c in nums]
+            den = ql_divexact(den, g)
+        c = den.content()
+        if den.leading_coeff < 0:
+            c = -c
+        if c != 1:
+            inv = 1 / c
+            nums = [t * inv for t in nums]
+            den = den * inv
+    return tuple(nums), den
+
+
 class QRatFunc:
     """An element of Q(q) as a canonical reduced fraction num / den."""
 
@@ -452,32 +496,7 @@ class QRatFunc:
         den = _coerce_laurent(den)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("QRatFunc expects QLaurent or exact rational arguments")
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num = _ZERO
-            self.den = _ONE
-            return
-        # Move any monomial factor q^m of den into num.
-        v = den.min_exp
-        if v:
-            den = den.shifted(-v)
-            num = num.shifted(-v)
-        if den != _ONE:
-            g = poly_gcd(num, den)
-            if g != _ONE:
-                num = ql_divexact(num, g)
-                den = ql_divexact(den, g)
-            # Scale so den is primitive with positive leading coefficient.
-            c = den.content()
-            if den.leading_coeff < 0:
-                c = -c
-            if c != 1:
-                inv = 1 / c
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
+        (self.num,), self.den = lowest_terms((num,), den)
 
     @classmethod
     def _make(cls, num: QLaurent, den: QLaurent) -> "QRatFunc":
@@ -507,8 +526,6 @@ class QRatFunc:
         if other is NotImplemented:
             return NotImplemented
         if self.den == other.den:
-            if self.den == _ONE:
-                return QRatFunc._make(self.num + other.num, _ONE)
             return QRatFunc(self.num + other.num, self.den)
         return QRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -533,8 +550,6 @@ class QRatFunc:
         other = _coerce_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _ONE and other.den == _ONE:
-            return QRatFunc._make(self.num * other.num, _ONE)
         return QRatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -556,7 +571,7 @@ class QRatFunc:
     def __pow__(self, n: int) -> "QRatFunc":
         if n < 0:
             return QRatFunc(self.den, self.num) ** (-n)
-        return QRatFunc._make(self.num**n, self.den**n) if self.den == _ONE else QRatFunc(self.num**n, self.den**n)
+        return QRatFunc(self.num**n, self.den**n)
 
     def subs_q_inverse(self) -> "QRatFunc":
         return QRatFunc(self.num.subs_q_inverse(), self.den.subs_q_inverse())

@@ -18,7 +18,7 @@ from qballot.analysis import (
     theorem1_numerator,
 )
 from qballot.csequence import c_theorem1
-from qballot.qcore import XPoly, cyclotomic, q_factorial
+from qballot.qcore import XPoly, cyclotomic, q_factorial, q_int
 from qballot.qlaurent import ONE, Q, QLaurent, QRatFunc
 
 # ---------------------------------------------------------------------------
@@ -85,6 +85,21 @@ def test_numerator_uncleared_denominator():
     assert not r.ok
     with pytest.raises(ValueError, match="did not clear"):
         newton_polytope(r)
+
+
+def test_numerator_two_columns_over_one_denominator():
+    # C = 1/Phi_5 + q/(1+q) x: the shared denominator (1+q) Phi_5 is not
+    # inside [2]_q! = 1+q, so [2]_q! C is left over Phi_5
+    c = XPoly([QRatFunc(ONE, cyclotomic(5)), QRatFunc(Q, ONE + Q)])
+    r = numerator(3, c)
+    assert r.numerator == (ONE + Q, Q * cyclotomic(5))
+    assert not r.is_polynomial
+    assert r.is_irreducible_fraction
+    # 1/(1+q) + q/[3]_q x: the shared denominator is [3]_q! itself
+    c = XPoly([QRatFunc(ONE, ONE + Q), QRatFunc(Q, q_int(3))])
+    r = numerator(4, c)
+    assert r.numerator == (q_int(3), Q + Q * Q)
+    assert r.is_polynomial and r.is_irreducible_fraction and r.ok
 
 
 def test_numerator_reducible_fraction():
@@ -273,6 +288,13 @@ def test_run_suite_errors():
         run_suite("everything", 3)
     with pytest.raises(ValueError):
         run_suite("carlitz", -1)
+    # a suite with nothing to check is refused, not passed vacuously
+    for name, maxn in [
+        ("conjecture", 1), ("polytope", 1), ("corollary", 0), ("carlitz", 0),
+        ("q1_identities", 0), ("andrews", 0), ("thm1", 0), ("thm2", 0),
+    ]:
+        with pytest.raises(ValueError, match=f"^suite {name} runs no checks at --max-n {maxn}$"):
+            run_suite(name, maxn)
 
 
 def test_report_shapes():

@@ -16,6 +16,8 @@ from qballot.qlaurent import (
     ExactnessError,
     QLaurent,
     QRatFunc,
+    lowest_terms,
+    poly_gcd,
     ql_divexact,
 )
 from qballot.qcore import (
@@ -285,6 +287,51 @@ def test_hahn_delta_times_divisor_is_the_difference(f):
     assert XPoly([1, Q - 1]) * hahn_delta(f) == subst_affine(f, Q, 1) - f
 
 
+# The representation: Laurent columns over one shared denominator in lowest
+# terms, checked against per-coefficient QRatFunc arithmetic.
+
+
+def _assert_canonical(f):
+    assert XPoly(f.coeffs) == f
+    assert hash(XPoly(f.coeffs)) == hash(f)
+    for k, col in enumerate(f.nums):
+        assert f.coeff(k) == QRatFunc(col, f.den)
+    assert not f.nums or f.nums[-1]
+    den = f.den
+    assert den.min_exp == 0
+    assert den.content() == 1 and den.leading_coeff > 0
+    g = den
+    for col in f.nums:
+        if col:
+            g = poly_gcd(g, col)
+    assert g == ONE
+
+
+@given(small_xpolys, small_xpolys, small_scalars)
+@settings(max_examples=60, deadline=None)
+def test_xpoly_columns_match_coefficient_arithmetic(f, g, s):
+    n = max(len(f.nums), len(g.nums))
+    for h in (f, g, f + g, f - g, f * g, f * s):
+        _assert_canonical(h)
+    for k in range(n + 1):
+        assert (f + g).coeff(k) == f.coeff(k) + g.coeff(k)
+        assert (f - g).coeff(k) == f.coeff(k) - g.coeff(k)
+        assert (f * s).coeff(k) == f.coeff(k) * s
+    for k in range(2 * n):
+        want = RF_ZERO
+        for i in range(k + 1):
+            want = want + f.coeff(i) * g.coeff(k - i)
+        assert (f * g).coeff(k) == want
+
+
+@given(small_xpolys, small_scalars, small_scalars)
+@settings(max_examples=30, deadline=None)
+def test_xpoly_operations_stay_canonical(f, a, b):
+    _assert_canonical(subst_affine(f, a, b))
+    _assert_canonical(hahn_delta(f))
+    _assert_canonical(from_qbinom_basis(to_qbinom_basis(f)))
+
+
 # ---------------------------------------------------------------------------
 # expansions in the q-binomial basis
 
@@ -365,27 +412,64 @@ def test_q1_specialize():
     g = q1_specialize(f)
     assert g.coeff(0) == QRatFunc(QLaurent({0: 2}))
     assert g.coeff(1) == QRatFunc(QLaurent({0: 3}))
+    # the shared denominator is read too: (q^2 + q)/(1 + q) = q is 1 at q = 1
+    f = XPoly([QRatFunc(Q * Q + Q, ONE + Q), QRatFunc(ONE, q_int(3))])
+    assert q1_specialize(f) == XPoly([1, Fraction(1, 3)])
+    # a coefficient with a pole at q = 1
+    with pytest.raises(ZeroDivisionError):
+        q1_specialize(XPoly([QRatFunc(ONE, Q - ONE)]))
+    with pytest.raises(ZeroDivisionError):
+        q1_specialize(XPoly([1, QRatFunc(ONE, Q - ONE)]))
 
 
 # ---------------------------------------------------------------------------
 # exact division by q-factorials
 
 
-@given(st.dictionaries(
-    st.integers(min_value=0, max_value=5),
+sieve_coeffs = st.one_of(
     st.integers(min_value=-9, max_value=9),
-    max_size=4,
-), st.integers(min_value=0, max_value=6))
-@settings(max_examples=40, deadline=None)
-def test_reduce_by_qfactorial_matches_generic_reduction(terms, d):
-    num = QLaurent(terms)
-    assert reduce_by_qfactorial(num, d) == QRatFunc(num, q_factorial(d))
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+)
+
+
+@given(
+    st.lists(st.dictionaries(
+        st.integers(min_value=-2, max_value=5), sieve_coeffs, max_size=4,
+    ), max_size=4),
+    st.lists(st.integers(min_value=2, max_value=6), max_size=3),
+    st.integers(min_value=0, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_reduce_by_qfactorial_matches_generic_reduction(terms, shared, d):
+    # columns with a planted common factor, mixing integer and rational ones
+    common = ONE
+    for e in shared:
+        common = common * cyclotomic(e)
+    cols = [QLaurent(t) * common for t in terms]
+    got = reduce_by_qfactorial(cols, d)
+    if any(cols):
+        assert got == lowest_terms(cols, q_factorial(d))
+    else:
+        assert got == (tuple(cols), q_factorial(d))
 
 
 def test_reduce_by_qfactorial_exact_case():
-    got = reduce_by_qfactorial(q_factorial(4) * (ONE + Q), 4)
-    assert got == QRatFunc(ONE + Q)
-    assert got.den == ONE
+    got = reduce_by_qfactorial([q_factorial(4) * (ONE + Q), ZERO, q_factorial(4)], 4)
+    assert got == ((ONE + Q, ZERO, ONE), ONE)
+    # Phi_2 divides both columns and leaves; Phi_3 divides only the first
+    # and stays in the denominator
+    phi3 = cyclotomic(3)
+    got = reduce_by_qfactorial([phi3 * (ONE + Q), (ONE + Q).shifted(1)], 3)
+    assert got == ((phi3, Q), phi3)
+    # mixed integer and rational columns are sieved by their primitive parts
+    half = Fraction(1, 2)
+    got = reduce_by_qfactorial([(ONE + Q) * half, (ONE + Q).shifted(1) * 3], 2)
+    assert got == ((QLaurent({0: half}), QLaurent({1: 3})), ONE)
+    got = reduce_by_qfactorial([(ONE + Q) * half, ONE + Q * Q], 3)
+    assert got == (((ONE + Q) * half, ONE + Q * Q), q_factorial(3))
+    # nothing to divide: the set comes back over [d]_q!
+    assert reduce_by_qfactorial([ZERO], 4) == ((ZERO,), q_factorial(4))
+    assert reduce_by_qfactorial([Q], 1) == ((Q,), ONE)
 
 
 def test_qfactorial_coprime_cases():
