@@ -299,22 +299,6 @@ def svg_polytope(p: NewtonPolytope, title: str = "") -> str:
 
 # -- named verification suites ------------------------------------------------
 
-SUITES = (
-    "prop1",
-    "corollary",
-    "prop2",
-    "thm1",
-    "thm2",
-    "key_identities",
-    "q1_identities",
-    "carlitz",
-    "andrews",
-    "stirling",
-    "conjecture",
-    "polytope",
-)
-
-
 def _suite_prop1(maxn: int) -> SuiteReport:
     rep = SuiteReport("prop1")
     cap = path_cap()
@@ -502,14 +486,6 @@ def _suite_stirling(maxn: int) -> SuiteReport:
     return rep
 
 
-def _suite_carlitz(maxn: int) -> SuiteReport:
-    return verify_carlitz_convolution(maxn)
-
-
-def _suite_andrews(maxn: int) -> SuiteReport:
-    return andrews_check(maxn)
-
-
 def _suite_conjecture(maxn: int) -> SuiteReport:
     rep = SuiteReport("conjecture")
     for n in range(2, maxn + 1):
@@ -550,12 +526,14 @@ _SUITE_FNS = {
     "thm2": _suite_thm2,
     "key_identities": _suite_key_identities,
     "q1_identities": _suite_q1_identities,
-    "carlitz": _suite_carlitz,
-    "andrews": _suite_andrews,
+    "carlitz": verify_carlitz_convolution,
+    "andrews": andrews_check,
     "stirling": _suite_stirling,
     "conjecture": _suite_conjecture,
     "polytope": _suite_polytope,
 }
+
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(name: str, maxn: int) -> SuiteReport:

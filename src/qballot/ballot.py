@@ -30,10 +30,9 @@ import re
 import threading
 from fractions import Fraction
 from math import comb
-from operator import add
 from typing import Iterable, Optional
 
-from .qlaurent import ONE, ZERO, BigRat, ExactnessError, QLaurent
+from .qlaurent import ONE, ZERO, BigRat, ExactnessError, QLaurent, _raw, ql_divexact
 from .qcore import gauss_binom, q_int
 from .report import CheckResult, SuiteReport
 
@@ -63,39 +62,26 @@ def ballot(n: int, k: int) -> BigRat:
     return Fraction((n - k + 1) * comb(n + k, k), n + 1)
 
 
-# A nonzero f(n, k | q) is stored as a dense row (lo, [c_lo, ..., c_hi]):
-# the coefficients of q^lo .. q^hi, with no zero at either end.  Rows are
-# never mutated once made, so the table and a loaded file may share lists.
-Row = tuple[int, list[int]]
-
-_ONE_ROW: Row = (0, [1])
+# A row f(n, k | q), k <= n, is stored as its QLaurent: the dense run of
+# its coefficients from q^k up, all of them positive.  Runs are immutable,
+# so rows share them (f(n, n) is f(n, n-1) shifted by one).
 
 
-def _next_row(left: Row, up: Optional[Row], k: int) -> Row:
-    """f(n,k) = q f(n,k-1) + q^k f(n-1,k) on rows, for k >= 1; up is None
-    when k = n.
-
-    f(m,j) starts at q^j, so the up term (from q^2k) never starts below the
-    left one (from q^k); every coefficient is positive, so the sum keeps
-    nonzero ends."""
-    lo, cs = left[0] + 1, left[1]
-    if up is None:
-        return lo, cs
-    off, ucs = up[0] + k - lo, up[1]
-    out = cs + [0] * (off + len(ucs) - len(cs))
-    out[off:off + len(ucs)] = map(add, out[off:off + len(ucs)], ucs)
-    return lo, out
+def _next_row(left: QLaurent, up: Optional[QLaurent], k: int) -> QLaurent:
+    """f(n,k) = q f(n,k-1) + q^k f(n-1,k), for k >= 1; up is None when k = n."""
+    row = left.shifted(1)
+    return row if up is None else row + up.shifted(k)
 
 
 class BallotTable:
     """Memoized table of f(n, k | q), safe for concurrent readers.
 
-    Writes happen under a single lock; completed entries are immutable rows,
-    so reading them without the lock is safe.
+    Writes happen under a single lock; completed entries are immutable
+    polynomials, so reading them without the lock is safe.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], Row] = {}
+        self._entries: dict[tuple[int, int], QLaurent] = {}
         self._lock = threading.Lock()
 
     def get(self, n: int, k: int) -> QLaurent:
@@ -107,18 +93,18 @@ class BallotTable:
         if row is None:
             with self._lock:
                 row = self._fill(n, k)
-        return QLaurent(enumerate(row[1], row[0]))
+        return row
 
-    def _fill(self, n: int, k: int) -> Row:
+    def _fill(self, n: int, k: int) -> QLaurent:
         t = self._entries
         for m in range(n + 1):
             for j in range(min(m, k) + 1):
                 if (m, j) in t:
                     continue
-                t[(m, j)] = _next_row(t[(m, j - 1)], t.get((m - 1, j)), j) if j else _ONE_ROW
+                t[(m, j)] = _next_row(t[(m, j - 1)], t.get((m - 1, j)), j) if j else ONE
         return t[(n, k)]
 
-    def known(self) -> dict[tuple[int, int], Row]:
+    def known(self) -> dict[tuple[int, int], QLaurent]:
         with self._lock:
             return dict(self._entries)
 
@@ -129,7 +115,12 @@ class BallotTable:
     def dump_json(self) -> dict:
         """The table as {"schema", "entries": {"n,k": [lo, [c_lo, ..., c_hi]]}},
         entries in (n, k) order."""
-        entries = {f"{n},{k}": [lo, cs] for (n, k), (lo, cs) in sorted(self.known().items())}
+        return self._document(list)
+
+    def _document(self, array) -> dict:
+        # array(p.cs) holds each row's coefficients.  json writes a tuple as
+        # an array, so save passes tuple and copies no run.
+        entries = {f"{n},{k}": [p.lo, array(p.cs)] for (n, k), p in sorted(self.known().items())}
         return {"schema": self.SCHEMA, "entries": entries}
 
     def load_json(self, data: object) -> int:
@@ -154,21 +145,25 @@ class BallotTable:
             raise ValueError("there is no 'entries' object")
         parsed = sorted((_parse_key(key), _parse_row(key, row)) for key, row in raw.items())
         with self._lock:
-            proven: dict[tuple[int, int], Row] = {}
-            for (n, k), row in parsed:
+            proven: dict[tuple[int, int], QLaurent] = {}
+            for (n, k), (lo, cs) in parsed:
                 if k == 0:
-                    want = _ONE_ROW
+                    want = ONE
                 else:
                     left = proven.get((n, k - 1)) or self._entries.get((n, k - 1))
                     up = proven.get((n - 1, k)) or self._entries.get((n - 1, k))
                     if left is None or (up is None and k < n):
                         raise ValueError(f"entry '{n},{k}' lacks the neighbours that prove it")
                     want = _next_row(left, up, k)
-                if row != want:
+                # Compared as read: a file row enters arithmetic only once
+                # it equals the canonical run of the row it must be.  It is
+                # then kept, not want, so the table shares the file's
+                # numbers instead of holding a second copy while loading.
+                if lo != want.lo or cs != list(want.cs):
                     raise ValueError(f"entry '{n},{k}' breaks the ballot recurrence")
-                proven[(n, k)] = row
-            for (n, k), (_, cs) in parsed:
-                if sum(cs) != ballot(n, k):
+                proven[(n, k)] = _raw(lo, tuple(cs), True)
+            for (n, k), row in proven.items():
+                if sum(row.cs) != ballot(n, k):
                     raise ValueError(f"entry '{n},{k}' does not count ballot({n},{k}) paths")
             self._entries.update(proven)
         return len(proven)
@@ -176,7 +171,7 @@ class BallotTable:
     def save(self, path: str) -> None:
         """Write the table as JSON, atomically: a reader sees the old file or
         the new one, never a partial write."""
-        text = json.dumps(self.dump_json(), separators=(",", ":"))
+        text = json.dumps(self._document(tuple), separators=(",", ":"))
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
@@ -212,7 +207,7 @@ def _parse_key(key: str) -> tuple[int, int]:
     return n, k
 
 
-def _parse_row(key: str, row: object) -> Row:
+def _parse_row(key: str, row: object) -> tuple[int, list[int]]:
     # [offset, [coefficients]], every number a JSON integer: bool and float
     # compare equal to int (True == 1.0 == 1), so the type is checked.
     if not (
@@ -406,8 +401,6 @@ ANDREWS_READINGS = (
 def _andrews_rhs(n: int, catalan, exp_drop: int = 0, tail_power: int = 1) -> QLaurent:
     # q^n [2n, n] / [n+1] is an exact polynomial division (the classical
     # q-Catalan), so a genuine Laurent polynomial always comes out.
-    from .qlaurent import ql_divexact
-
     head = ql_divexact(gauss_binom(2 * n, n).shifted(n), q_int(n + 1))
     tail = ZERO
     for j in range(n):

@@ -5,7 +5,8 @@ run named verification suites, sweep the positivity conjecture, and export
 Newton polytopes.  Output is deterministic: the same flags always produce
 byte-identical text/JSON/CSV (SVG carries one fixed generator comment).
 Each cmd_* function returns its output text and exit code; main() loads the
---cache file before it, saves the file after it, and then writes the text.
+--cache file before it, saves the file after it when the file is new or the
+table grew, and then writes the text.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, 3 internal error (an exact division that theory
@@ -321,12 +322,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        stored = None  # table entries after loading an existing file
         if args.cache is not None and args.cache.exists():
             TABLE.load(str(args.cache))
+            stored = len(TABLE.known())
         text, code = args.fn(args)
         # Saved even when a verification failed (code 1), and before any
         # output is written, so a failed save leaves no partial result.
-        if args.cache is not None:
+        if args.cache is not None and len(TABLE.known()) != stored:
             TABLE.save(str(args.cache))
         if args.out is None:
             sys.stdout.write(text)

@@ -184,7 +184,6 @@ def c_recurrence(nmax: int) -> CFamily:
     return CFamily("recurrence", polys)
 
 
-@cache
 def theorem1_qbinom_coeffs(n: int) -> tuple[QLaurent, ...]:
     """q-binomial coordinates of C_{n+1}(x|q): entry j is
     f(n+j, n-j | 1/q) * q^(jn + (n-j)(n+j+1)/2), a Laurent polynomial."""

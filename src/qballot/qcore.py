@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, starmap, zip_longest
+from itertools import accumulate, chain, starmap, zip_longest
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
@@ -36,8 +36,8 @@ from .qlaurent import (
     QRatFunc,
     RF_ZERO,
     _coerce_ratfunc,
-    _dense_frac,
     _divexact_dense,
+    _run,
     lowest_terms,
     poly_gcd,
     ql_divexact,
@@ -66,7 +66,7 @@ def q_factorial(n: int) -> QLaurent:
         raise ValueError("q-factorial needs n >= 0")
     if n <= 1:
         return ONE
-    return QLaurent(enumerate(_qint_mul_dense(_dense_frac(q_factorial(n - 1)), n)))
+    return _qint_mul(q_factorial(n - 1), n)
 
 
 @cache
@@ -92,11 +92,6 @@ def cyclotomic(d: int) -> QLaurent:
         if d % e == 0:
             num = ql_divexact(num, cyclotomic(e))
     return num
-
-
-@cache
-def _cyclo_dense(d: int) -> tuple[int, ...]:
-    return tuple(_dense_frac(cyclotomic(d)))
 
 
 @cache
@@ -418,14 +413,12 @@ def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
     coefficient of x^k.
     """
     d = len(bs) - 1
-    lo = min((b.min_exp for b in bs if b), default=0)
     cs = []
-    for j, b in enumerate(bs):
-        c = _dense_frac(b, lo)
+    for j, c in enumerate(bs):
         for i in range(j + 1, d + 1):
-            c = _qint_mul_dense(c, i)
+            c = _qint_mul(c, i)
         cs.append(c)
-    return tuple(QLaurent(enumerate(col, lo)) for col in _horner_dense(cs))
+    return tuple(_horner(cs))
 
 
 def columns_over_qfactorial(cols: Sequence[QLaurent], d: int) -> XPoly:
@@ -455,41 +448,41 @@ def reduce_by_qfactorial(
     column has nothing to divide and comes back over [d]_q!.
     """
     cols = tuple(cols)
-    live = []  # (index, lowest exponent, scale, integer dense column)
+    live = []  # (index, scale, integer column)
     for i, col in enumerate(cols):
         if col:
-            dense, scale = _dense_frac(col), 1
-            if not all(type(c) is int for c in dense):
-                scale = col.content()
-                dense = _dense_frac(col.primitive())
-            live.append((i, col.min_exp, scale, dense))
+            scale = 1
+            if not col.ints:
+                scale, col = col.content(), col.primitive()
+            live.append((i, scale, col))
     if not live:
         return cols, q_factorial(d)
-    denses = [dense for *_, dense in live]
-    vals2 = [sum(c << e for e, c in enumerate(dense)) for dense in denses]
-    full = den = _dense_frac(q_factorial(d))
+    # The sieve divides the runs read from each column's lowest term.
+    runs = [col.cs for *_, col in live]
+    vals2 = [sum(c << e for e, c in enumerate(run)) for run in runs]
+    full = den = q_factorial(d).cs
     for e in range(2, d + 1):
-        phi2, phi_dense = _cyclo_at2(e), _cyclo_dense(e)
+        phi2, phi = _cyclo_at2(e), cyclotomic(e).cs
         for _ in range(d // e):
             if any(v2 % phi2 for v2 in vals2):
                 break
-            quots = _divexact_all(denses, phi_dense)
+            quots = _divexact_all(runs, phi)
             if quots is None:
                 break
-            denses, den = quots, _divexact_dense(den, phi_dense)
+            runs, den = quots, _divexact_dense(den, phi)
             vals2 = [v2 // phi2 for v2 in vals2]
     if den is full:  # nothing divided out
         return cols, q_factorial(d)
     out = list(cols)
-    for (i, v, scale, _), dense in zip(live, denses):
-        out[i] = QLaurent((j + v, c * scale) for j, c in enumerate(dense))
-    return tuple(out), QLaurent(enumerate(den))
+    for (i, scale, col), run in zip(live, runs):
+        out[i] = _run(col.lo, [c * scale for c in run], scale == 1)
+    return tuple(out), _run(0, den, True)
 
 
-def _divexact_all(denses: list[list], b: Sequence[int]) -> list[list] | None:
-    """Every dense list divided exactly by b, or None at the first remainder."""
+def _divexact_all(runs: list[Sequence[int]], b: Sequence[int]) -> list[list] | None:
+    """Every run divided exactly by b, or None at the first remainder."""
     out = []
-    for a in denses:
+    for a in runs:
         quot = _divexact_dense(a, b)
         if quot is None:
             return None
@@ -505,37 +498,27 @@ def qfactorial_coprime(cols: Sequence[QLaurent], d: int) -> bool:
     return reduce_by_qfactorial(cols, d)[1] == q_factorial(d)
 
 
-# Dense kernel: a polynomial is a coefficient list read upward from an offset
-# that the caller keeps, and every list in one computation shares it, so
-# sums are elementwise.  Multiplying by [j]_q = 1 + q + ... + q^(j-1) is then
-# a width-j sliding-window sum, O(len) rather than the O(len * j) schoolbook
+# Multiplying by [j]_q = 1 + q + ... + q^(j-1) is a width-j sliding-window
+# sum over the coefficient run, O(len) rather than the O(len * j) schoolbook
 # product.
 
 
-def _qint_mul_dense(a: list, j: int) -> list:
-    """a * [j]_q for j >= 0, as a window sum over prefix sums."""
-    if j <= 0 or not a:
-        return []
-    pad = [0] * (j - 1)
+def _qint_mul(p: QLaurent, j: int) -> QLaurent:
+    """p * [j]_q for j >= 0, as a window sum over prefix sums."""
+    if j <= 0 or not p:
+        return ZERO
+    a, pad = p.cs, [0] * (j - 1)
     # s[i + j] - s[i] = a[i - j + 1] + ... + a[i], with a[<0] = 0
-    s = pad + list(accumulate(a + pad, initial=0))
-    return list(map(sub, s[j:], s[: len(a) + j - 1]))
+    s = pad + list(accumulate(chain(a, pad), initial=0))
+    return _run(p.lo, list(map(sub, s[j:], s[: len(a) + j - 1])), p.ints)
 
 
-def _sub_dense(a: list, b: list) -> list:
-    return list(starmap(sub, zip_longest(a, b, fillvalue=0)))
-
-
-def _horner_dense(cs: Sequence[list]) -> list[list]:
+def _horner(cs: Sequence[QLaurent]) -> list[QLaurent]:
     """x-columns of sum_j cs[j] (x - [0]_q)(x - [1]_q)...(x - [j-1]_q)."""
     acc = [cs[-1]]
     for j in range(len(cs) - 2, -1, -1):
-        # acc * (x - [j]_q) + cs[j]
-        nxt = [_sub_dense(cs[j], _qint_mul_dense(acc[0], j))]
-        for i in range(1, len(acc)):
-            nxt.append(_sub_dense(acc[i - 1], _qint_mul_dense(acc[i], j)))
-        nxt.append(acc[-1])
-        acc = nxt
+        # acc * (x - [j]_q) + cs[j]: column i is acc[i-1] - [j]_q acc[i]
+        acc = [low - _qint_mul(t, j) for low, t in zip([cs[j], *acc], acc)] + acc[-1:]
     return acc
 
 

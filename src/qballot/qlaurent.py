@@ -7,8 +7,13 @@ are arbitrary-precision rationals (`fractions.Fraction`, collapsed to plain
 
 Representation invariants:
 
-* `QLaurent` stores a sparse map {exponent: coefficient} with no zero
-  coefficients; exponents may be negative.
+* `QLaurent` stores one dense run: an offset `lo` and a tuple `cs` of the
+  coefficients of q^lo .. q^hi, with nonzero first and last entries (zero
+  is the empty run at lo = 0); exponents may be negative.  Interior zeros
+  are stored, so storage grows with max_exp - min_exp rather than with the
+  number of terms.  That suits every polynomial the package computes with
+  (ballot rows, [d]_q!, the Theorem 1 columns are all dense); the only
+  gapped ones it builds are monomials and q^d - 1 inside `cyclotomic`.
 * `QRatFunc` stores a pair num/den of `QLaurent` with den a polynomial
   (no negative exponents), content 1, positive leading coefficient, and no
   common polynomial factor with num.  Monomial factors q^m are kept in the
@@ -23,7 +28,9 @@ sound because construction always canonicalizes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd as _int_gcd
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 BigRat = Fraction
@@ -48,9 +55,15 @@ def _as_coeff(c: CoeffLike) -> CoeffLike:
 
 
 class QLaurent:
-    """A Laurent polynomial in q with exact rational coefficients."""
+    """A Laurent polynomial in q with exact rational coefficients.
 
-    __slots__ = ("_terms",)
+    `cs[i]` is the coefficient of q^(lo + i): a tuple with nonzero first and
+    last entries, and zero is the empty run at lo = 0.  `ints` records that
+    every coefficient is an int, so integer arithmetic skips the Fraction
+    collapse.  All three are read-only.
+    """
+
+    __slots__ = ("lo", "cs", "ints")
 
     def __init__(self, terms: Union[Mapping[int, CoeffLike], Iterable[tuple[int, CoeffLike]], None] = None):
         data: dict[int, CoeffLike] = {}
@@ -59,16 +72,13 @@ class QLaurent:
             for e, c in items:
                 c = _as_coeff(c)
                 if c:
-                    c0 = data.get(e)
-                    if c0 is None:
-                        data[e] = c
-                    else:
-                        s = c0 + c
-                        if s:
-                            data[e] = _as_coeff(s)
-                        else:
-                            del data[e]
-        self._terms = data
+                    data[e] = data.get(e, 0) + c
+        lo = min(data, default=0)
+        cs = [0] * (max(data) - lo + 1) if data else []
+        for e, c in data.items():
+            cs[e - lo] = c
+        p = _run(lo, cs)
+        self.lo, self.cs, self.ints = p.lo, p.cs, p.ints
 
     # -- construction helpers -------------------------------------------------
 
@@ -82,59 +92,52 @@ class QLaurent:
 
     @classmethod
     def monomial(cls, exp: int, coeff: CoeffLike = 1) -> "QLaurent":
-        p = cls.__new__(cls)
         c = _as_coeff(coeff)
-        p._terms = {int(exp): c} if c else {}
-        return p
-
-    @classmethod
-    def _raw(cls, data: dict[int, CoeffLike]) -> "QLaurent":
-        # Internal: data must already be zero-free with normalized coeffs.
-        p = cls.__new__(cls)
-        p._terms = data
-        return p
+        return _raw(int(exp), (c,), type(c) is int) if c else _ZERO
 
     # -- basic queries --------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.cs)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.cs
 
     @property
     def min_exp(self) -> int:
-        if not self._terms:
+        if not self.cs:
             raise ValueError("zero polynomial has no exponents")
-        return min(self._terms)
+        return self.lo
 
     @property
     def max_exp(self) -> int:
-        if not self._terms:
+        if not self.cs:
             raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
+        return self.lo + len(self.cs) - 1
 
     @property
     def is_polynomial(self) -> bool:
         """True when no negative exponent occurs (the zero poly included)."""
-        return all(e >= 0 for e in self._terms)
+        return self.lo >= 0
 
     def coeff(self, exp: int) -> CoeffLike:
-        return self._terms.get(exp, 0)
+        i = exp - self.lo
+        return self.cs[i] if 0 <= i < len(self.cs) else 0
 
     def items(self) -> tuple[tuple[int, CoeffLike], ...]:
-        return tuple(sorted(self._terms.items()))
+        return tuple((e, c) for e, c in enumerate(self.cs, self.lo) if c)
 
     def __iter__(self) -> Iterator[tuple[int, CoeffLike]]:
         return iter(self.items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        """The number of nonzero terms."""
+        return len(self.cs) - self.cs.count(0)
 
     @property
     def leading_coeff(self) -> CoeffLike:
-        return self._terms[self.max_exp]
+        return self.coeff(self.max_exp)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -142,64 +145,49 @@ class QLaurent:
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        data = dict(self._terms)
-        for e, c in other._terms.items():
-            c0 = data.get(e)
-            if c0 is None:
-                data[e] = c
-            else:
-                s = c0 + c
-                if s:
-                    data[e] = _as_coeff(s)
-                else:
-                    del data[e]
-        return QLaurent._raw(data)
+        return _combine(self, other, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QLaurent":
-        return QLaurent._raw({e: -c for e, c in self._terms.items()})
+        return _raw(self.lo, tuple(map(neg, self.cs)), self.ints)
 
     def __sub__(self, other: object) -> "QLaurent":
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, sub)
 
     def __rsub__(self, other: object) -> "QLaurent":
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _combine(other, self, sub)
 
     def __mul__(self, other: object) -> "QLaurent":
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
+        if not self.cs or not other.cs:
             return _ZERO
-        if len(a) > len(b):
-            a, b = b, a
+        lo, ints = self.lo + other.lo, self.ints and other.ints
+        x, y = (self, other) if len(self.cs) <= len(other.cs) else (other, self)
+        a, b = x.cs, y.cs
         if len(a) == 1:
-            ((ea, ca),) = a.items()
-            if ca == 1:
-                return QLaurent._raw({e + ea: c for e, c in b.items()})
-            return QLaurent._raw({e + ea: _as_coeff(c * ca) for e, c in b.items()})
-        data: dict[int, CoeffLike] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                c0 = data.get(e)
-                if c0 is None:
-                    data[e] = ca * cb
-                else:
-                    data[e] = c0 + ca * cb
-        return QLaurent._raw({e: _as_coeff(c) for e, c in data.items() if c})
+            c = a[0]
+            if c == 1:
+                return _raw(lo, b, y.ints)
+            if len(b) == 1:
+                c = _as_coeff(c * b[0])
+                return _raw(lo, (c,), type(c) is int)
+            return _run(lo, list(map(mul, b, repeat(c))), ints)
+        # Schoolbook: one shifted, scaled copy of b per nonzero term of a.
+        m = len(b)
+        out = [0] * (len(a) + m - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + m] = map(add, out[i:i + m], map(mul, b, repeat(c)))
+        return _run(lo, out, ints)
 
     __rmul__ = __mul__
 
@@ -217,35 +205,40 @@ class QLaurent:
 
     def shifted(self, m: int) -> "QLaurent":
         """Multiply by q^m (exponent shift)."""
-        if m == 0 or not self._terms:
+        if m == 0 or not self.cs:
             return self
-        return QLaurent._raw({e + m: c for e, c in self._terms.items()})
+        return _raw(self.lo + m, self.cs, self.ints)
 
     def subs_q_inverse(self) -> "QLaurent":
         """The substitution q -> 1/q; an involution and a ring homomorphism."""
-        return QLaurent._raw({-e: c for e, c in self._terms.items()})
+        if not self.cs:
+            return self
+        return _raw(1 - self.lo - len(self.cs), self.cs[::-1], self.ints)
 
     def eval_at(self, v: CoeffLike) -> Fraction:
         """Evaluate at q = v exactly.  v = 0 with negative exponents is rejected."""
         v = Fraction(v)
         if v == 0:
-            if any(e < 0 for e in self._terms):
+            if self.lo < 0:
                 raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
-            return Fraction(self._terms.get(0, 0))
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            total += Fraction(c) * v**e
-        return total
+            return Fraction(self.coeff(0))
+        x = v.numerator if v.denominator == 1 else v
+        total = 0
+        for c in reversed(self.cs):
+            total = total * x + c
+        return total * v**self.lo
 
     # -- content and primitive part -------------------------------------------
 
     def content(self) -> Fraction:
         """The positive rational c with self = c * (primitive integer poly)."""
-        if not self._terms:
+        if not self.cs:
             return Fraction(0)
+        if self.ints:
+            return Fraction(_int_gcd(*self.cs))
         num = 0
         den = 1
-        for c in self._terms.values():
+        for c in self.cs:
             f = Fraction(c)
             num = _int_gcd(num, f.numerator)
             den = den * f.denominator // _int_gcd(den, f.denominator)
@@ -256,23 +249,26 @@ class QLaurent:
         c = self.content()
         if c in (0, 1):
             return self
+        if self.ints:
+            g = c.numerator
+            return _raw(self.lo, tuple(v // g for v in self.cs), True)
         inv = 1 / c
-        return QLaurent._raw({e: _as_coeff(v * inv) for e, v in self._terms.items()})
+        return _run(self.lo, [v * inv for v in self.cs])
 
     # -- comparison, hashing, display -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QLaurent):
-            return self._terms == other._terms
+            return self.lo == other.lo and self.cs == other.cs
         if isinstance(other, (int, Fraction)):
-            return self._terms == ({0: _as_coeff(other)} if other else {})
+            return self.cs == ((other,) if other else ()) and self.lo == 0
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self.lo, self.cs))
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self.cs:
             return "0"
         parts: list[str] = []
         for e, c in self.items():
@@ -302,6 +298,49 @@ class QLaurent:
         return [[e, str(c)] for e, c in self.items()]
 
 
+def _raw(lo: int, cs: tuple, ints: bool) -> QLaurent:
+    # Internal: cs must already be canonical, and ints true iff every entry is.
+    p = _new(QLaurent)
+    p.lo, p.cs, p.ints = lo, cs, ints
+    return p
+
+
+def _run(lo: int, cs: Sequence[CoeffLike], ints: bool = False) -> QLaurent:
+    """The QLaurent sum_i cs[i] q^(lo+i), with zero ends trimmed.  Unless the
+    caller passes ints (every entry an int), integral Fractions are first
+    collapsed to int."""
+    if not ints:
+        cs = [c if type(c) is int else _as_coeff(c) for c in cs]
+        ints = Fraction not in map(type, cs)
+    hi = len(cs)
+    while hi and not cs[hi - 1]:
+        hi -= 1
+    if not hi:
+        return _ZERO
+    i = 0
+    while not cs[i]:
+        i += 1
+    return _raw(lo + i, tuple(cs[i:hi]), ints)
+
+
+def _combine(a: QLaurent, b: QLaurent, op) -> QLaurent:
+    """a + b or a - b, for op operator.add or operator.sub."""
+    if not b.cs:
+        return a
+    if not a.cs:
+        return b if op is add else -b
+    if len(a.cs) == len(b.cs) == 1 and a.lo == b.lo:  # two terms at one exponent
+        c = _as_coeff(op(a.cs[0], b.cs[0]))
+        return _raw(a.lo, (c,), type(c) is int) if c else _ZERO
+    lo = min(a.lo, b.lo)
+    ia, ib = a.lo - lo, b.lo - lo
+    end = ib + len(b.cs)
+    out = [0] * max(ia + len(a.cs), end)
+    out[ia:ia + len(a.cs)] = a.cs
+    out[ib:end] = map(op, out[ib:end], b.cs)
+    return _run(lo, out, a.ints and b.ints)
+
+
 def _coeff_str(c: CoeffLike, standalone: bool) -> str:
     f = Fraction(c)
     if f.denominator == 1:
@@ -315,13 +354,14 @@ def _coerce_laurent(x: object):
         return x
     if isinstance(x, (int, Fraction)):
         c = _as_coeff(x)
-        return QLaurent._raw({0: c}) if c else _ZERO
+        return _raw(0, (c,), type(c) is int) if c else _ZERO
     return NotImplemented
 
 
-_ZERO = QLaurent._raw({})
-_ONE = QLaurent._raw({0: 1})
-Q = QLaurent._raw({1: 1})
+_new = object.__new__
+_ZERO = _raw(0, (), True)
+_ONE = _raw(0, (1,), True)
+Q = _raw(1, (1,), True)
 
 
 # -- gcd and exact division over Q[q, q^-1] -----------------------------------
@@ -373,11 +413,10 @@ def poly_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero or b.is_zero:
-        p = b if a.is_zero else a
-        dense = _dense_frac(p.primitive())
-        g = dense if dense[-1] > 0 else [-c for c in dense]
-        return QLaurent(enumerate(g))
-    da, db = _dense_frac(a.primitive()), _dense_frac(b.primitive())
+        g = (b if a.is_zero else a).primitive().cs
+        return _raw(0, g if g[-1] > 0 else tuple(map(neg, g)), True)
+    # Both runs are read upward from their lowest term, so q divides neither.
+    da, db = a.primitive().cs, b.primitive().cs
     if len(da) < len(db):
         da, db = db, da
     # Primitive polynomial remainder sequence: strip integer content each
@@ -391,7 +430,7 @@ def poly_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
         da, db = db, r
     if da[-1] < 0:
         da = [-c for c in da]
-    return QLaurent(enumerate(da))
+    return _run(0, da, True)
 
 
 def ql_divexact(a: QLaurent, b: QLaurent) -> QLaurent:
@@ -400,14 +439,14 @@ def ql_divexact(a: QLaurent, b: QLaurent) -> QLaurent:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return _ZERO
-    quot = _divexact_dense(_dense_frac(a), _dense_frac(b))
+    quot = _divexact_dense(a.cs, b.cs)
     if quot is None:
         raise ExactnessError(f"({a}) is not divisible by ({b})")
-    return QLaurent(enumerate(quot, a.min_exp - b.min_exp))
+    return _run(a.lo - b.lo, quot)
 
 
-def _divexact_dense(a: list[CoeffLike], b: Sequence[CoeffLike]) -> list[CoeffLike] | None:
-    """Exact quotient of dense coefficient lists read from q^0, or None on a
+def _divexact_dense(a: Sequence[CoeffLike], b: Sequence[CoeffLike]) -> list[CoeffLike] | None:
+    """Exact quotient of coefficient runs read from q^0, or None on a
     remainder.  Needs b[0] != 0; when a[-1] and b[-1] are nonzero, so is the
     quotient's last entry."""
     n = len(a) - len(b) + 1
@@ -426,19 +465,6 @@ def _divexact_dense(a: list[CoeffLike], b: Sequence[CoeffLike]) -> list[CoeffLik
             for j, bc in enumerate(b):
                 rem[k + j] -= c * bc
     return None if any(rem) else quot
-
-
-def _dense_frac(p: QLaurent, lo: int | None = None) -> list[CoeffLike]:
-    """Coefficients of p, low to high, read upward from q^lo (default: its
-    lowest term); p must have no term below q^lo.  Zero gives []."""
-    if not p._terms:
-        return []
-    if lo is None:
-        lo = p.min_exp
-    out: list[CoeffLike] = [0] * (p.max_exp - lo + 1)
-    for e, c in p._terms.items():
-        out[e - lo] = c
-    return out
 
 
 # -- reduced rational functions ----------------------------------------------

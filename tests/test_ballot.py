@@ -363,7 +363,7 @@ def test_table_load_counts_paths_without_the_row_kernel(monkeypatch):
     # A faulty row recurrence fills wrong rows and would prove them against
     # each other; the count at q = 1 comes from the closed form instead.
     def without_up(left, up, k):
-        return left[0] + 1, left[1]
+        return left.shifted(1)
 
     monkeypatch.setattr(ballot_mod, "_next_row", without_up)
     t = BallotTable()

@@ -412,6 +412,22 @@ def test_cache_written_by_program_loads_back(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]  # no temp files
 
 
+def test_cache_saved_only_when_the_table_grows(tmp_path):
+    cache = tmp_path / "cache.json"
+    assert _cli("ballot", "--n", "9", "--k", "5", "--cache", str(cache)).returncode == 0
+    stored = cache.stat()
+    want = _cli("ballot", "--n", "7", "--k", "3").stdout
+    proc = _cli("ballot", "--n", "7", "--k", "3", "--cache", str(cache))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+    kept = cache.stat()
+    assert (kept.st_ino, kept.st_mtime_ns) == (stored.st_ino, stored.st_mtime_ns)
+    # a lookup beyond the stored rows still rewrites the file
+    assert _cli("ballot", "--n", "11", "--k", "5", "--cache", str(cache)).returncode == 0
+    grown = cache.stat()
+    assert (grown.st_ino, grown.st_mtime_ns) != (stored.st_ino, stored.st_mtime_ns)
+    assert grown.st_size > stored.st_size
+
+
 def _run_cold(argv):
     """main(argv) on an empty memo table, as in a fresh process: the run sees
     no entry that the cache file did not provide.  Returns (code, out, err)."""

@@ -31,8 +31,8 @@ from qballot.qcore import (
     q_int,
     q_stirling,
     qbinom_x,
-    _horner_dense,
-    _qint_mul_dense,
+    _horner,
+    _qint_mul,
     qbinom_columns,
     qfactorial_coprime,
     reduce_by_qfactorial,
@@ -501,35 +501,39 @@ def test_qfactorial_coprime_agrees_with_reduction():
 
 
 # ---------------------------------------------------------------------------
-# the dense kernel, against QLaurent.__mul__ as the schoolbook reference
+# the [j]_q window and the Newton-Horner sum, against QLaurent.__mul__ as the
+# schoolbook reference
 
-dense_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=12)
+dense_laurents = st.builds(
+    lambda cs, lo: QLaurent(enumerate(cs, lo)),
+    st.lists(st.one_of(st.integers(min_value=-50, max_value=50),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+             max_size=12),
+    st.integers(-4, 4),
+)
 
 
-def _laurent(cs, lo=0):
-    return QLaurent(enumerate(cs, lo))
-
-
-@given(dense_lists, st.integers(min_value=0, max_value=9))
+@given(dense_laurents, st.integers(min_value=0, max_value=9))
 @settings(max_examples=80, deadline=None)
-def test_qint_mul_dense_is_schoolbook(cs, j):
-    assert _laurent(_qint_mul_dense(cs, j)) == _laurent(cs) * q_int(j)
+def test_qint_mul_dense_is_schoolbook(p, j):
+    got = _qint_mul(p, j)
+    assert got == p * q_int(j)
+    assert got.ints == all(type(c) is int for c in got.cs)
 
 
-@given(st.lists(dense_lists, min_size=1, max_size=6), st.integers(-4, 4))
+@given(st.lists(dense_laurents, min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_horner_dense_is_schoolbook(cs, lo):
+def test_horner_dense_is_schoolbook(cs):
     # sum_j cs[j] (x - [0]_q)...(x - [j-1]_q), multiplied out column by column
     want = [ZERO] * len(cs)
     basis = [ONE]  # x-columns of (x - [0]_q)...(x - [j-1]_q)
     for j, c in enumerate(cs):
         for k, b in enumerate(basis):
-            want[k] = want[k] + _laurent(c, lo) * b
+            want[k] = want[k] + c * b
         basis = [
             lower - q_int(j) * b for lower, b in zip([ZERO] + basis, basis + [ZERO])
         ]
-    got = [_laurent(col, lo) for col in _horner_dense(cs)]
-    assert got == want
+    assert _horner(cs) == want
 
 
 @given(st.lists(st.dictionaries(

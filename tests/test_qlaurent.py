@@ -72,6 +72,9 @@ def test_integral_fractions_collapse_to_int():
     p = QLaurent({1: Fraction(4, 2)})
     ((exp, c),) = p.items()
     assert exp == 1 and c == 2 and isinstance(c, int)
+    half = QLaurent.monomial(1, Fraction(1, 2))
+    for r in (half + half, half * 2, half * QLaurent.monomial(-1, 4), 1 - half.shifted(-1) * 2):
+        assert r.ints and all(type(c) is int for c in r.cs)
 
 
 def test_monomial_and_constants():
@@ -95,6 +98,66 @@ def test_exponent_bounds():
 def test_is_polynomial():
     assert ONE.is_polynomial and ZERO.is_polynomial
     assert not QLaurent.monomial(-1).is_polynomial
+
+
+# ---------------------------------------------------------------------------
+# the canonical dense run, against arithmetic on {exponent: coefficient} maps
+
+
+def _assert_canonical(p):
+    assert type(p.cs) is tuple
+    if p.cs:
+        assert p.cs[0] and p.cs[-1]
+    else:
+        assert p.lo == 0  # zero is the empty run
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.cs)
+    assert p.ints == all(type(c) is int for c in p.cs)
+
+
+def _map_sum(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _map_product(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def test_zero_is_the_empty_run():
+    for z in (ZERO, QLaurent(), QLaurent({4: 0}), Q - Q, QLaurent.monomial(-3, 0)):
+        assert (z.lo, z.cs, len(z), str(z)) == (0, (), 0, "0")
+    gapped = QLaurent({-1: 2, 3: -1})
+    assert (gapped.lo, gapped.cs, len(gapped)) == (-1, (2, 0, 0, 0, -1), 2)
+
+
+@given(laurents(max_terms=6), laurents(max_terms=6))
+@settings(max_examples=80, deadline=None)
+def test_results_are_canonical_runs(a, b):
+    ta, tb = dict(a.items()), dict(b.items())
+    cases = [
+        (a + b, _map_sum(ta, tb, 1)),
+        (a - b, _map_sum(ta, tb, -1)),
+        (a * b, _map_product(ta, tb)),
+        (a.shifted(3), {e + 3: c for e, c in ta.items()}),
+        (a.subs_q_inverse(), {-e: c for e, c in ta.items()}),
+        (a.primitive(), {e: c / a.content() for e, c in ta.items()}),
+    ]
+    if b:
+        cases.append((ql_divexact(a * b, b), ta))
+    for got, terms in cases:
+        _assert_canonical(got)
+        want = QLaurent(terms)
+        assert got == want and hash(got) == hash(want)
+        assert len(got) == len(terms)  # nonzero terms, interior zeros not counted
+        assert str(got) == str(want)
+        again = QLaurent(got.items())
+        assert again == got and hash(again) == hash(got)
 
 
 # ---------------------------------------------------------------------------
