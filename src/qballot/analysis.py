@@ -14,9 +14,9 @@ CLI-addressable verification suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .ballot import (
     andrews_check,
@@ -65,8 +65,7 @@ from .report import CheckResult, SuiteReport
 # -- numerator reports --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumeratorReport:
+class NumeratorReport(NamedTuple):
     """P_n = [1]_q...[n-1]_q * C_n(x|q), column per x-degree.
 
     When the denominator does not clear, the columns are those of
@@ -133,9 +132,9 @@ def _numerator_report(
 
     irreducible = qfactorial_coprime(cols, n - 1)
 
-    positive = all(
-        v > 0 for col in cols for _, v in col.items()
-    )
+    # Every term of P_n is positive iff no coefficient of a run is
+    # negative: the zeros inside a run are not terms.
+    positive = all(min(col.cs, default=0) >= 0 for col in cols)
 
     stats = tuple(
         (0, 0) if col.is_zero else (col.min_exp, col.max_exp) for col in cols
@@ -158,8 +157,7 @@ def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
-class NewtonPolytope:
+class NewtonPolytope(NamedTuple):
     """Exponent cloud of P_n with its exact convex hull.
 
     Points are (q-exponent, x-exponent).  ``hull`` walks counterclockwise

@@ -24,7 +24,6 @@ environment variable).
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -171,6 +170,8 @@ class BallotTable:
     def save(self, path: str) -> None:
         """Write the table as JSON, atomically: a reader sees the old file or
         the new one, never a partial write."""
+        import json
+
         text = json.dumps(self._document(tuple), separators=(",", ":"))
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
@@ -183,6 +184,8 @@ class BallotTable:
             raise
 
     def load(self, path: str) -> int:
+        import json
+
         with open(path) as fh:
             try:
                 data = json.load(fh)

@@ -8,6 +8,10 @@ Each cmd_* function returns its output text and exit code; main() loads the
 --cache file before it, saves the file after it when the file is new or the
 table grew, and then writes the text.
 
+Every op is a cold process, so start-up is kept small: importing this
+module loads no ``dataclasses``, and ``json``/``csv`` are imported only by
+the code that writes ``--format json|csv`` or reads and writes ``--cache``.
+
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, 3 internal error (an exact division that theory
 guarantees left a remainder, i.e. a bug in qballot, not in the input).
@@ -16,9 +20,7 @@ guarantees left a remainder, i.e. a bug in qballot, not in the input).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -38,6 +40,8 @@ from .report import SuiteReport
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -46,6 +50,8 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _json_text(data: object) -> str:
+    import json
+
     return json.dumps(data, indent=2) + "\n"
 
 

@@ -21,7 +21,6 @@ C_n(qx+1|q) round out the module.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -58,12 +57,14 @@ _Q_SQUARED = QLaurent.monomial(2)
 _ONE_PLUS_Q = ONE + Q
 
 
-@dataclass(frozen=True)
 class CFamily:
     """C_1 .. C_nmax as built by one method; ``poly(n)`` returns C_n(x|q)."""
 
-    method: str
-    polys: tuple[XPoly, ...]
+    __slots__ = ("method", "polys")
+
+    def __init__(self, method: str, polys: tuple[XPoly, ...]) -> None:
+        self.method = method
+        self.polys = polys
 
     def poly(self, n: int) -> XPoly:
         if not 1 <= n <= len(self.polys):

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one identity instance at one parameter point.
 
     `asserted` distinguishes checks that must hold from observations that
@@ -22,13 +20,20 @@ class CheckResult:
     asserted: bool = True
 
 
-@dataclass
 class SuiteReport:
     """All results of one named suite plus its pass/report semantics."""
 
-    suite: str
-    results: list[CheckResult] = field(default_factory=list)
-    mode: str = "assert"  # "assert": failures are failures; "report": recorded only
+    __slots__ = ("suite", "results", "mode")
+
+    def __init__(
+        self,
+        suite: str,
+        results: Optional[list[CheckResult]] = None,
+        mode: str = "assert",  # "assert": failures are failures; "report": recorded only
+    ) -> None:
+        self.suite = suite
+        self.results = [] if results is None else results
+        self.mode = mode
 
     @property
     def passed(self) -> bool:

@@ -2,12 +2,17 @@
 
 Every comparison is exact (tolerance zero).  Each test asserts its runtime
 budget and prints a one-line summary; run ``pytest -v tests/test_acceptance.py``
-for the per-criterion pass/fail listing.
+for the per-criterion pass/fail listing.  A budget is also a hard deadline: a
+test still running when it passes is stopped and fails, so a fault that makes
+the arithmetic blow up shows as a failure, not a hang.
 """
 
 import json
+import signal
 import time
 from fractions import Fraction
+
+import pytest
 
 from qballot.analysis import run_suite
 from qballot.ballot import qballot, qballot_paths, qcatalan, tilde_qcatalan
@@ -23,14 +28,41 @@ from qballot.qcore import XPoly
 from qballot.qlaurent import ONE, Q, QLaurent, QRatFunc
 
 
-def _finish(num: int, t0: float, budget: float) -> None:
-    elapsed = time.perf_counter() - t0
-    print(f"criterion {num}: PASS ({elapsed:.2f} s)")
-    assert elapsed < budget, f"criterion {num} exceeded {budget} s: {elapsed:.2f} s"
+class BudgetExceeded(Exception):
+    """Raised by SIGALRM when a criterion runs past its budget."""
 
 
-def test_01_table_reproduction(capsys):
+def _arm(num: int, seconds: float):
+    """Start criterion ``num``'s clock with ``seconds`` as a hard deadline;
+    the returned ``finish()`` prints the summary line and asserts the time."""
+
+    def expire(signum, frame):
+        raise BudgetExceeded(f"criterion {num} ran past its {seconds} s budget")
+
+    signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     t0 = time.perf_counter()
+
+    def finish() -> None:
+        elapsed = time.perf_counter() - t0
+        print(f"criterion {num}: PASS ({elapsed:.2f} s)")
+        assert elapsed < seconds, f"criterion {num} exceeded {seconds} s: {elapsed:.2f} s"
+
+    return finish
+
+
+@pytest.fixture
+def budget():
+    """Hands the test ``_arm``; afterwards disarms the timer and puts the
+    previous SIGALRM handler back."""
+    handler = signal.getsignal(signal.SIGALRM)
+    yield _arm
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, handler)
+
+
+def test_01_table_reproduction(capsys, budget):
+    finish = budget(1, 1.0)
     assert main(["table", "1", "--max-n", "6"]) == 0
     table1 = capsys.readouterr().out
     assert table1.splitlines() == [
@@ -57,11 +89,11 @@ def test_01_table_reproduction(capsys):
     assert qballot(4, 3) == y.shifted(3)
     assert qballot(6, 4).eval_at(1) == 90
     assert qballot(6, 6).eval_at(1) == 132
-    _finish(1, t0, 1.0)
+    finish()
 
 
-def test_02_display_reproduction():
-    t0 = time.perf_counter()
+def test_02_display_reproduction(budget):
+    finish = budget(2, 1.0)
     assert c_theorem1(1) == XPoly([QRatFunc(ONE), QRatFunc(Q)])  # 1 + qx
     assert theorem1_qbinom_coeffs(2) == (
         ONE + Q,
@@ -77,11 +109,11 @@ def test_02_display_reproduction():
         displayed,
         QLaurent.monomial(9),
     )
-    _finish(2, t0, 1.0)
+    finish()
 
 
-def test_03_three_method_agreement():
-    t0 = time.perf_counter()
+def test_03_three_method_agreement(budget):
+    finish = budget(3, 30.0)
     nmax = 12
     diff = c_difference(nmax)
     rec = c_recurrence(nmax)
@@ -89,21 +121,21 @@ def test_03_three_method_agreement():
         expansion = c_theorem1(n - 1)
         assert diff.poly(n) == expansion, n
         assert rec.poly(n) == expansion, n
-    _finish(3, t0, 30.0)
+    finish()
 
 
-def test_04_oracle_equivalence():
-    t0 = time.perf_counter()
+def test_04_oracle_equivalence(budget):
+    finish = budget(4, 60.0)
     assert qballot_paths(1, 1) == QLaurent.monomial(1)
     assert qballot_paths(2, 2) == QLaurent({2: 1, 3: 1})
     for n in range(13):
         for k in range(13 - n):
             assert qballot_paths(n, k) == qballot(n, k), (n, k)
-    _finish(4, t0, 60.0)
+    finish()
 
 
-def test_05_prop1_and_corollary():
-    t0 = time.perf_counter()
+def test_05_prop1_and_corollary(budget):
+    finish = budget(5, 10.0)
     rep = run_suite("prop1", 8)
     assert rep.passed, rep.lines()
     # every q-integer evaluation in range carries its lattice-path companion
@@ -116,21 +148,21 @@ def test_05_prop1_and_corollary():
     c4_tilde = QLaurent({0: 1, 1: 3, 2: 3, 3: 3, 4: 2, 5: 1, 6: 1})
     assert c4.subs_q_inverse().shifted(6) == c4_tilde
     assert tilde_qcatalan(4) == c4_tilde
-    _finish(5, t0, 10.0)
+    finish()
 
 
-def test_06_prop2_q1_shadow():
-    t0 = time.perf_counter()
+def test_06_prop2_q1_shadow(budget):
+    finish = budget(6, 5.0)
     rep = run_suite("prop2", 10)
     assert rep.passed, rep.lines()
     # C_3(x|1) = (x+1)(x+4)/2
     want = [Fraction(2), Fraction(5, 2), Fraction(1, 2)]
     assert [c.num.coeff(0) for c in c_q1(2).coeffs] == want
-    _finish(6, t0, 5.0)
+    finish()
 
 
-def test_07_identity_suites():
-    t0 = time.perf_counter()
+def test_07_identity_suites(budget):
+    finish = budget(7, 60.0)
     for name, maxn in (
         ("key_identities", 8),
         ("carlitz", 10),
@@ -139,10 +171,11 @@ def test_07_identity_suites():
     ):
         rep = run_suite(name, maxn)
         assert rep.passed, (name, rep.lines())
-    _finish(7, t0, 60.0)
+    finish()
 
 
-def test_08_conjecture_sweep():
+def test_08_conjecture_sweep(budget):
+    finish = budget(8, 600.0)
     t0 = time.perf_counter()
     first = run_suite("conjecture", 15)
     mid = time.perf_counter() - t0
@@ -151,11 +184,11 @@ def test_08_conjecture_sweep():
     full = run_suite("conjecture", 27)
     assert full.passed, full.lines()
     assert [r.n for r in full.results] == list(range(2, 28))
-    _finish(8, t0, 600.0)
+    finish()
 
 
-def test_09_polytope_slopes():
-    t0 = time.perf_counter()
+def test_09_polytope_slopes(budget):
+    finish = budget(9, 120.0)
     rep = run_suite("polytope", 27)
     assert rep.passed, rep.lines()
     for r in rep.results:
@@ -164,11 +197,11 @@ def test_09_polytope_slopes():
     by_n = {r.n: r for r in rep.results}
     assert "slopes=['1', '3', '5', '7', '9']" in by_n[6].detail
     assert len([r for r in rep.results if not r.asserted]) == 17
-    _finish(9, t0, 120.0)
+    finish()
 
 
-def test_10_andrews_reporting(tmp_path):
-    t0 = time.perf_counter()
+def test_10_andrews_reporting(tmp_path, budget):
+    finish = budget(10, 5.0)
     rep = run_suite("andrews", 5)
     assert rep.mode == "report"
     assert rep.passed  # mismatches are recorded, never raised
@@ -183,4 +216,4 @@ def test_10_andrews_reporting(tmp_path):
     assert main(["verify", "andrews", "--max-n", "5", "--format", "json",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["passed"] is True
-    _finish(10, t0, 5.0)
+    finish()

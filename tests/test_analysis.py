@@ -1,7 +1,6 @@
 """Numerator structure of C_n(x|q), Newton polytopes, and the named
 verification suites."""
 
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,7 @@ from qballot.analysis import (
 )
 from qballot.csequence import c_theorem1
 from qballot.qcore import XPoly, cyclotomic, q_factorial, q_int
-from qballot.qlaurent import ONE, Q, QLaurent, QRatFunc
+from qballot.qlaurent import ONE, Q, ZERO, QLaurent, QRatFunc
 
 # ---------------------------------------------------------------------------
 # numerator reports
@@ -65,8 +64,8 @@ def test_theorem1_numerator_matches_numerator_oracle():
     for n in range(2, 16):
         got = theorem1_numerator(n)
         want = numerator(n, c_theorem1(n - 1))
-        for f in fields(NumeratorReport):
-            assert getattr(got, f.name) == getattr(want, f.name), (n, f.name)
+        for name in NumeratorReport._fields:
+            assert getattr(got, name) == getattr(want, name), (n, name)
 
 
 def test_numerator_rejects_bad_n():
@@ -124,6 +123,24 @@ def test_numerator_negative_coefficient():
     r = numerator(2, c)
     assert r.is_polynomial and r.is_irreducible_fraction
     assert not r.all_coeffs_positive
+
+
+@pytest.mark.parametrize(
+    "n, cols, positive",
+    [
+        (2, [QLaurent({0: 1, 2: 1, 3: 2})], True),  # interior zero
+        (3, [QLaurent({0: Fraction(1, 2), 1: Fraction(1, 2)})], True),
+        (3, [QLaurent({0: Fraction(1, 2), 2: Fraction(-1, 3)})], False),
+        (2, [ZERO, ONE + Q], True),  # zero column
+        (2, [QLaurent({0: 1, 1: 1, 3: -1, 4: 1})], False),  # one negative
+    ],
+    ids=["interior-zero", "fraction", "fraction-negative", "zero-column", "negative"],
+)
+def test_numerator_positivity_flag(n, cols, positive):
+    r = numerator(n, XPoly([QRatFunc(col) for col in cols]))
+    assert r.all_coeffs_positive is positive
+    # the flag is "every term of every column is positive"
+    assert positive == all(v > 0 for col in r.numerator for _, v in col.items())
 
 
 def test_numerator_json():

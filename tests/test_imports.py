@@ -42,3 +42,8 @@ def test_no_unused_imports(path):
 def test_checker_sees_an_unused_import():
     src = "from math import comb, factorial\nimport os\nprint(factorial(3))\n"
     assert unused_imports(src) == ["line 1: comb", "line 2: os"]
+    # imports inside a function, as where a module is loaded only on demand
+    used = "def dump(x):\n    import json\n\n    return json.dumps(x)\n"
+    assert unused_imports(used) == []
+    unread = "def dump(x):\n    import json\n\n    return str(x)\n"
+    assert unused_imports(unread) == ["line 2: json"]
