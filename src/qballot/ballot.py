@@ -29,11 +29,9 @@ import re
 import threading
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from typing import Optional
 
-from .qlaurent import ONE, ZERO, BigRat, ExactnessError, QLaurent, _raw, ql_divexact
-from .qcore import gauss_binom, q_int
-from .report import CheckResult, SuiteReport
+from .qlaurent import ONE, ZERO, BigRat, ExactnessError, QLaurent, _raw
 
 DEFAULT_PATH_CAP = 26
 
@@ -353,102 +351,3 @@ def tilde_qcatalan(n: int) -> QLaurent:
     if n < 0:
         raise ValueError("tilde_qcatalan needs n >= 0")
     return qcatalan(n).subs_q_inverse().shifted(comb(n, 2))
-
-
-# -- convolution identities ---------------------------------------------------
-
-
-def verify_carlitz_convolution(maxn: int) -> SuiteReport:
-    """Check both convolution recurrences for C_{n+1} for all n < maxn."""
-    rep = SuiteReport("carlitz")
-    for n in range(maxn):
-        lhs = qcatalan(n + 1)
-        rhs = ZERO
-        for i in range(n + 1):
-            rhs = rhs + (qcatalan(i) * qcatalan(n - i)).shifted((i + 1) * (n - i))
-        rep.results.append(
-            CheckResult(
-                "convolution-area",
-                n + 1,
-                None,
-                lhs == rhs,
-                None if lhs == rhs else f"lhs={lhs} rhs={rhs}",
-            )
-        )
-        lhs_t = tilde_qcatalan(n + 1)
-        rhs_t = ZERO
-        for i in range(n + 1):
-            rhs_t = rhs_t + (tilde_qcatalan(i) * tilde_qcatalan(n - i)).shifted(i)
-        rep.results.append(
-            CheckResult(
-                "convolution-reversed",
-                n + 1,
-                None,
-                lhs_t == rhs_t,
-                None if lhs_t == rhs_t else f"lhs={lhs_t} rhs={rhs_t}",
-            )
-        )
-    return rep
-
-
-# -- the hypergeometric-recurrence transcription ------------------------------
-
-ANDREWS_READINGS = (
-    "literal",
-    "reversed-catalan",
-    "inverse-catalan",
-    "lowered-exponent",
-)
-
-
-def _andrews_rhs(n: int, catalan, exp_drop: int = 0, tail_power: int = 1) -> QLaurent:
-    # q^n [2n, n] / [n+1] is an exact polynomial division (the classical
-    # q-Catalan), so a genuine Laurent polynomial always comes out.
-    head = ql_divexact(gauss_binom(2 * n, n).shifted(n), q_int(n + 1))
-    tail = ZERO
-    for j in range(n):
-        term = (ONE - QLaurent.monomial(n - j)) * gauss_binom(2 * j + 1, j)
-        term = term.shifted((n + 1 - j) * j - exp_drop * j)
-        tail = tail + term * catalan(n - 1 - j)
-    return head + tail.shifted(tail_power)
-
-
-def andrews_check(maxn: int, readings: Iterable[str] = ("literal",)) -> SuiteReport:
-    """Compare C_n(q) against the transcribed hypergeometric recurrence.
-
-    The literal transcription does not hold (n = 1 already gives 2q - q^2
-    against C_1 = 1), so this suite only reports; it never repairs the
-    formula.  Alternate readings can be requested explicitly: two swap the
-    Catalan normalization, and "lowered-exponent" drops the stray q^(j+1)
-    from each summand (that variant does hold; see README).
-    """
-    rep = SuiteReport("andrews", mode="report")
-    for reading in readings:
-        if reading not in ANDREWS_READINGS:
-            raise ValueError(f"unknown reading {reading!r}; choose from {ANDREWS_READINGS}")
-        for n in range(1, maxn + 1):
-            if reading == "literal":
-                lhs = qcatalan(n)
-                rhs = _andrews_rhs(n, qcatalan)
-            elif reading == "reversed-catalan":
-                lhs = tilde_qcatalan(n)
-                rhs = _andrews_rhs(n, tilde_qcatalan)
-            elif reading == "inverse-catalan":
-                # 1/q-reversed factors inside the sum only
-                lhs = qcatalan(n)
-                rhs = _andrews_rhs(n, lambda m: qcatalan(m).subs_q_inverse())
-            else:  # lowered-exponent: q^((n-j)j) on the summand, no overall q
-                lhs = qcatalan(n)
-                rhs = _andrews_rhs(n, qcatalan, exp_drop=1, tail_power=0)
-            ok = lhs == rhs
-            rep.results.append(
-                CheckResult(
-                    f"andrews-{reading}",
-                    n,
-                    None,
-                    ok,
-                    None if ok else f"lhs={lhs} rhs={rhs}",
-                    asserted=False,
-                )
-            )
-    return rep

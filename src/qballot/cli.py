@@ -11,6 +11,10 @@ table grew, and then writes the text.
 Every op is a cold process, so start-up is kept small: importing this
 module loads no ``dataclasses``, and ``json``/``csv`` are imported only by
 the code that writes ``--format json|csv`` or reads and writes ``--cache``.
+Of the package it loads only ``ballot``, ``qlaurent`` and ``report``, which
+is all that ``table``, ``ballot`` and ``catalan`` run; ``cx``, ``verify``,
+``conjecture`` and ``polytope`` import ``csequence``, ``qcore`` and
+``analysis`` inside their cmd_* function.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, 3 internal error (an exact division that theory
@@ -25,18 +29,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import (
-    SUITES,
-    newton_polytope,
-    run_suite,
-    svg_polytope,
-    theorem1_numerator,
-)
 from .ballot import TABLE, ballot, qballot, qcatalan, tilde_qcatalan
-from .csequence import METHODS, c_family, format_qbinom
-from .qcore import to_qbinom_basis
 from .qlaurent import ExactnessError
-from .report import SuiteReport
+from .report import METHODS, SUITES, SuiteReport
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -143,6 +138,9 @@ def cmd_catalan(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_cx(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 1:
         raise ValueError("--n must be >= 1 (the family starts at C_1)")
+    from .csequence import c_family, format_qbinom
+    from .qcore import to_qbinom_basis
+
     poly = c_family(args.method, args.n).poly(args.n)
     if args.basis == "qbinom":
         e = to_qbinom_basis(poly)
@@ -190,6 +188,8 @@ def _report_text(rep: SuiteReport) -> str:
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
+    from .analysis import run_suite
+
     rep = run_suite(args.suite, args.max_n)
     if args.format == "json":
         text = _json_text(rep.to_json())
@@ -208,6 +208,8 @@ def cmd_conjecture(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 2:
         raise ValueError("--max-n must be >= 2")
+    from .analysis import theorem1_numerator
+
     reports = [theorem1_numerator(n) for n in range(2, maxn + 1)]
 
     ok = all(r.ok for r in reports)
@@ -253,6 +255,8 @@ def cmd_conjecture(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_polytope(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 2:
         raise ValueError("--n must be >= 2 (P_1 is a single point)")
+    from .analysis import newton_polytope, svg_polytope, theorem1_numerator
+
     p = newton_polytope(theorem1_numerator(args.n))
     if args.format == "svg":
         text = svg_polytope(p, title=f"P_{args.n} exponents")

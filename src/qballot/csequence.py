@@ -48,9 +48,7 @@ from .qlaurent import (
     RF_ZERO,
     ql_divexact,
 )
-from .report import CheckResult, SuiteReport
-
-METHODS = ("difference", "theorem1", "recurrence")
+from .report import METHODS, CheckResult, SuiteReport
 
 _RF_Q = QRatFunc(Q)
 _Q_SQUARED = QLaurent.monomial(2)
@@ -285,12 +283,13 @@ def c_q1_at_int(n: int, m: int) -> Fraction:
     return Fraction(m + 1, m + 1 + n) * comb(m + 2 * n, n)
 
 
-def _binom_x(j: int) -> XPoly:
-    # x(x-1)...(x-j+1)/j! over plain rationals
-    poly = XPoly.const(RF_ONE)
-    for i in range(j):
-        poly = poly * XPoly([-i, 1])
-    return poly * QRatFunc(Fraction(1, factorial(j)))
+def _binoms_x(m: int) -> list[XPoly]:
+    """The plain binomials x(x-1)...(x-j+1)/j!, j = 0..m, over plain
+    rationals: each is the one before it times (x-j+1)/j."""
+    out = [XPoly.const(RF_ONE)]
+    for j in range(m):
+        out.append(out[-1] * XPoly([-j, 1]) * QRatFunc(Fraction(1, j + 1)))
+    return out
 
 
 def q1_identity_reports(maxn: int) -> SuiteReport:
@@ -298,12 +297,13 @@ def q1_identity_reports(maxn: int) -> SuiteReport:
     identities in x: C_{n+1}(x|1) and C_n(x+1|1) against sums of plain
     binomials weighted by ballot numbers."""
     rep = SuiteReport("q1_identities")
+    binom_x = _binoms_x(maxn)
     for n in range(1, maxn + 1):
         lhs_c = c_q1(n)
         rhs_c = XPoly.zero()
         for j in range(n + 1):
             w = QRatFunc(Fraction(2 * j + 1, n + j + 1) * comb(2 * n, n - j))
-            rhs_c = rhs_c + _binom_x(j) * w
+            rhs_c = rhs_c + binom_x[j] * w
         ok = lhs_c == rhs_c
         rep.results.append(
             CheckResult(
@@ -318,7 +318,7 @@ def q1_identity_reports(maxn: int) -> SuiteReport:
         rhs_d = XPoly.zero()
         for j in range(n):
             w = QRatFunc(Fraction(2 * j + 2, n + j + 1) * comb(2 * n - 1, n - j - 1))
-            rhs_d = rhs_d + _binom_x(j) * w
+            rhs_d = rhs_d + binom_x[j] * w
         ok = lhs_d == rhs_d
         rep.results.append(
             CheckResult(

@@ -1,8 +1,31 @@
-"""Structured pass/fail reporting shared by the verification suites."""
+"""Structured pass/fail reporting shared by the verification suites, and
+the names the CLI offers for them.
+
+The suite and method names live here, not beside the code they select, so
+that building the CLI parser loads neither `analysis` nor `csequence`."""
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
+
+# The named verification suites, in the order `analysis` registers them.
+SUITES = (
+    "prop1",
+    "corollary",
+    "prop2",
+    "thm1",
+    "thm2",
+    "key_identities",
+    "q1_identities",
+    "carlitz",
+    "andrews",
+    "stirling",
+    "conjecture",
+    "polytope",
+)
+
+# The constructions of C_n(x|q) that `csequence.c_family` accepts.
+METHODS = ("difference", "theorem1", "recurrence")
 
 
 class CheckResult(NamedTuple):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import qballot.analysis as analysis
+import qballot.report as report
 from qballot.analysis import (
     SUITES,
     NewtonPolytope,
@@ -249,6 +251,12 @@ def test_suite_names():
         "conjecture",
         "polytope",
     )
+
+
+def test_suite_registry_follows_the_suite_names():
+    # the CLI's choices come from report.SUITES, without loading analysis
+    assert SUITES is report.SUITES
+    assert tuple(analysis._SUITE_FNS) == SUITES
 
 
 @pytest.mark.parametrize("name", [s for s in SUITES if s != "andrews"])

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qballot.ballot as ballot_mod
+from qballot.analysis import ANDREWS_READINGS, andrews_check, verify_carlitz_convolution
 from qballot.ballot import (
-    ANDREWS_READINGS,
     DEFAULT_PATH_CAP,
     BallotTable,
     TABLE,
-    andrews_check,
     ballot,
     path_cap,
     qballot,
@@ -26,7 +25,6 @@ from qballot.ballot import (
     tilde_f,
     tilde_f_paths,
     tilde_qcatalan,
-    verify_carlitz_convolution,
 )
 from qballot.qlaurent import ONE, Q, ZERO, QLaurent
 

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qballot.analysis as analysis
 import qballot.ballot as ballot_mod
 import qballot.cli as cli
 from qballot.ballot import BallotTable, qballot
@@ -154,7 +155,7 @@ def test_verify_andrews_reports_clean_exit(capsys):
 def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
     failing = SuiteReport("carlitz")
     failing.results.append(CheckResult("convolution-area", 1, None, False, "boom"))
-    monkeypatch.setattr(cli, "run_suite", lambda name, maxn: failing)
+    monkeypatch.setattr(analysis, "run_suite", lambda name, maxn: failing)
     assert main(["verify", "carlitz"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
     # a failed verification still saves the cache
@@ -222,7 +223,7 @@ def test_conjecture_exit_one_on_failure(capsys, monkeypatch):
         all_coeffs_positive=True,
         coefficient_stats=((0, 0),),
     )
-    monkeypatch.setattr(cli, "theorem1_numerator", lambda n: bad)
+    monkeypatch.setattr(analysis, "theorem1_numerator", lambda n: bad)
     assert main(["conjecture", "--max-n", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -234,7 +235,7 @@ def test_internal_exactness_error_exits_three(capsys, monkeypatch):
     def broken(n):
         raise ExactnessError("remainder left")
 
-    monkeypatch.setattr(cli, "theorem1_numerator", broken)
+    monkeypatch.setattr(analysis, "theorem1_numerator", broken)
     assert main(["conjecture", "--max-n", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

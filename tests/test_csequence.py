@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 import qballot.csequence as csequence
+import qballot.report as report
 from qballot.ballot import qballot, qcatalan, tilde_qcatalan
 from qballot.csequence import (
     METHODS,
@@ -111,6 +112,17 @@ def test_three_methods_agree():
 def test_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         c_family("newton", 3)
+
+
+def test_c_family_accepts_exactly_the_method_names():
+    # the CLI's --method choices come from report.METHODS, without loading csequence
+    assert METHODS is report.METHODS
+    for method in METHODS:
+        assert c_family(method, 2).method == method
+    for method in ("", "Theorem1", "theorem", "difference "):
+        with pytest.raises(ValueError) as exc:
+            c_family(method, 2)
+        assert str(exc.value) == f"unknown method {method!r}; choose from {METHODS}"
 
 
 def test_family_bounds():

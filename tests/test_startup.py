@@ -3,16 +3,25 @@
 Every op runs in a fresh interpreter, so whatever `import qballot.cli`
 loads, every op pays for.  The CLI loads no `dataclasses` (which brings
 `inspect` with it), and loads `json` and `csv` only where an op's output or
-its --cache file needs them.  The ops that do need them are run cold here too.
+its --cache file needs them.  Of the package, a bare `import qballot` loads
+no module, and the CLI loads `analysis`, `csequence` and `qcore` only for the
+commands that run them.  The ops that do need them are run cold here too.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from qballot.cli import main
+
 DEFERRED = {"dataclasses", "inspect", "json", "csv"}
+
+# Modules that `table`, `ballot` and `catalan` never run.
+HEAVY = {"qballot.analysis", "qballot.csequence", "qballot.qcore"}
 
 
 def _run(*args):
@@ -36,6 +45,68 @@ def test_cli_start_up_loads_no_deferred_module():
     added = _loaded("import qballot.cli; qballot.cli.build_parser()") - _loaded("pass")
     assert "qballot.cli" in added
     assert added & DEFERRED == set()
+
+
+def test_bare_package_import_loads_no_submodule():
+    added = _loaded("import qballot") - _loaded("pass")
+    assert "qballot" in added
+    assert {m for m in added if m.startswith("qballot.")} == set()
+
+
+def test_cli_start_up_loads_no_heavy_module():
+    added = _loaded("import qballot.cli; qballot.cli.build_parser()") - _loaded("pass")
+    assert "qballot.ballot" in added
+    assert added & HEAVY == set()
+
+
+def _imported(stderr: str) -> set[str]:
+    # -X importtime writes "import time: self | cumulative | name" lines
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ballot", "--n", "6", "--k", "4"],
+        ["table", "2", "--max-n", "4"],
+        ["catalan", "--max-n", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_ballot_ops_import_no_heavy_module(argv):
+    proc = _run("-X", "importtime", "-m", "qballot.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    names = _imported(proc.stderr)
+    assert "qballot.ballot" in names
+    assert names & HEAVY == set()
+
+
+def _in_process(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cx", "--n", "3"],
+        ["verify", "thm1", "--max-n", "3"],
+        ["conjecture", "--max-n", "5"],
+        ["polytope", "--n", "4", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_ops_that_load_modules_on_demand_run_cold(argv):
+    proc = _cli(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
+    assert _in_process(argv) == (0, proc.stdout)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
