@@ -26,16 +26,17 @@ from functools import cache
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .ballot import qballot, tilde_qcatalan
+from .ballot import tilde_f, tilde_qcatalan
 from .qcore import (
     XPoly,
+    _subst_laurent,
     columns_over_qfactorial,
-    from_qbinom_basis,
+    from_qbinom_coords,
     q_factorial,
     q_int,
     qbinom_columns,
+    qbinom_coords,
     subst_affine,
-    to_qbinom_basis,
 )
 from .qlaurent import (
     ONE,
@@ -46,11 +47,11 @@ from .qlaurent import (
     QRatFunc,
     RF_ONE,
     RF_ZERO,
+    lowest_terms,
     ql_divexact,
 )
 from .report import METHODS, CheckResult, SuiteReport
 
-_RF_Q = QRatFunc(Q)
 _Q_SQUARED = QLaurent.monomial(2)
 _ONE_PLUS_Q = ONE + Q
 
@@ -91,29 +92,24 @@ _RECURRENCE: list[XPoly] = [_C1]
 _REC_COORDS: list[tuple[QLaurent, ...]] = [(ONE,)]
 
 
-def _minus_one_over_q_binom(j: int) -> QRatFunc:
-    # {-1/q choose j}_q = (-q)^{-j}: each factor -1/q - [i]_q is -[i+1]_q/q,
-    # so the product telescopes against [j]_q!.
-    return QRatFunc(QLaurent.monomial(-j, -1 if j % 2 else 1))
-
-
 def _difference_step(cur: XPoly) -> XPoly:
-    rhs = subst_affine(cur, _Q_SQUARED, _ONE_PLUS_Q) * _RF_Q
-    coeffs = [RF_ZERO, *to_qbinom_basis(rhs)]
-    const = RF_ZERO
-    for j in range(1, len(coeffs)):
-        const = const - coeffs[j] * _minus_one_over_q_binom(j)
-    coeffs[0] = const
-    return from_qbinom_basis(coeffs)
+    # Coordinates of q C_n(q^2 x + 1 + q) over den, shifted up: b_1, b_2, ...
+    cols = _subst_laurent(cur.nums, _Q_SQUARED, _ONE_PLUS_Q)
+    coords, den = lowest_terms(qbinom_coords(cols), cur.den)
+    bs = [c.shifted(1) for c in coords]
+    # {-1/q choose j}_q = (-q)^{-j} (each factor -1/q - [i]_q is -[i+1]_q/q),
+    # so C_{n+1}(-1/q) = 0 fixes b_0 = sum_{j>=1} (-1)^(j-1) q^(-j) b_j.
+    b0 = sum(((b if j % 2 else -b).shifted(-j) for j, b in enumerate(bs, 1)), ZERO)
+    return from_qbinom_coords([b0, *bs], den)
 
 
 def c_difference(nmax: int) -> CFamily:
     """Build C_1..C_nmax from the q-difference equation.
 
-    Each step: apply the affine substitution from the equation, expand in
-    the q-binomial basis, shift indices up by one (the antidifference),
-    and solve the constant term from C_{n+1}(-1/q) = 0 using
-    {-1/q choose j}_q = (-q)^{-j}.
+    Each step, on Laurent columns: apply the equation's affine substitution,
+    expand in the q-binomial basis, reduce once (`lowest_terms`), shift
+    indices up by one (the antidifference), and solve the constant term
+    from C_{n+1}(-1/q) = 0 using {-1/q choose j}_q = (-q)^{-j}.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -176,23 +172,18 @@ def c_recurrence(nmax: int) -> CFamily:
         while len(_RECURRENCE) < nmax:
             nxt = _recurrence_step(_REC_COORDS)
             _REC_COORDS.append(nxt)
-            _RECURRENCE.append(
-                columns_over_qfactorial(qbinom_columns(nxt), len(nxt) - 1)
-            )
+            _RECURRENCE.append(from_qbinom_coords(nxt))
         polys = tuple(_RECURRENCE[:nmax])
     return CFamily("recurrence", polys)
 
 
 def theorem1_qbinom_coeffs(n: int) -> tuple[QLaurent, ...]:
     """q-binomial coordinates of C_{n+1}(x|q): entry j is
-    f(n+j, n-j | 1/q) * q^(jn + (n-j)(n+j+1)/2), a Laurent polynomial."""
+    tilde_f(n+j, n-j) * q^(j^2), that is f(n+j, n-j | 1/q) *
+    q^(jn + (n-j)(n+j+1)/2), a Laurent polynomial."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = []
-    for j in range(n + 1):
-        shift = j * n + (n - j) * (n + j + 1) // 2
-        out.append(qballot(n + j, n - j).subs_q_inverse().shifted(shift))
-    return tuple(out)
+    return tuple(tilde_f(n + j, n - j).shifted(j * j) for j in range(n + 1))
 
 
 @cache
@@ -214,14 +205,11 @@ def c_theorem1(n: int) -> XPoly:
 @cache
 def c_shifted_theorem1(n: int) -> XPoly:
     """C_n(qx+1|q): the companion expansion with coordinates
-    f(n+j, n-1-j | 1/q) * q^(jn + n(n+1)/2 - (j+1)(j+2)/2)."""
+    tilde_f(n+j, n-1-j) * q^(j(j+1)), that is f(n+j, n-1-j | 1/q) *
+    q^(jn + n(n+1)/2 - (j+1)(j+2)/2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-    for j in range(n):
-        shift = j * n + n * (n + 1) // 2 - (j + 1) * (j + 2) // 2
-        out.append(qballot(n + j, n - 1 - j).subs_q_inverse().shifted(shift))
-    return columns_over_qfactorial(qbinom_columns(out), n - 1)
+    return from_qbinom_coords([tilde_f(n + j, n - 1 - j).shifted(j * (j + 1)) for j in range(n)])
 
 
 def c_family(method: str, nmax: int) -> CFamily:
@@ -231,6 +219,8 @@ def c_family(method: str, nmax: int) -> CFamily:
     if method == "recurrence":
         return c_recurrence(nmax)
     if method == "theorem1":
+        if nmax < 1:
+            raise ValueError("nmax must be >= 1")
         return CFamily("theorem1", tuple(c_theorem1(n - 1) for n in range(1, nmax + 1)))
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
@@ -239,7 +229,7 @@ def c_family(method: str, nmax: int) -> CFamily:
 
 
 def c_eval_qint(n: int, k: int) -> QLaurent:
-    """C_{n+1}([k]_q | q) = q^(kn + n(n+1)/2) f(k+n, n | 1/q).
+    """C_{n+1}([k]_q | q) = tilde_f(k+n, n) = q^(kn + n(n+1)/2) f(k+n, n | 1/q).
 
     Returns the closed form and cross-checks it against the integer
     columns of [n]_q! C_{n+1}: in Z[q, q^-1], sum_i cols[i] [k]_q^i must
@@ -248,7 +238,7 @@ def c_eval_qint(n: int, k: int) -> QLaurent:
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
-    val = qballot(k + n, n).subs_q_inverse().shifted(k * n + n * (n + 1) // 2)
+    val = tilde_f(k + n, n)
     node = q_int(k)
     acc = ZERO
     for col in reversed(theorem1_columns(n)):

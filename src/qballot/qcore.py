@@ -300,7 +300,9 @@ def qbinom_x(k: int) -> XPoly:
 # operation below computes on its columns (_subst_laurent, _hahn_laurent)
 # with no gcd, and reduces once per result (XPoly._make).  Scalars are
 # cleared to that form by _clear_denominators, the one place outside
-# qlaurent that takes a polynomial gcd.
+# qlaurent that takes a polynomial gcd.  The q-binomial expansions work on
+# the same columns: qbinom_coords reads coordinates off iterated Hahn steps,
+# and from_qbinom_coords is the one route from coordinates to an XPoly.
 
 
 def _clear_denominators(cs: Sequence[QRatFunc]) -> tuple[list[QLaurent], QLaurent]:
@@ -380,28 +382,33 @@ def hahn_delta(f: XPoly) -> XPoly:
 # -- q-binomial-basis expansions ----------------------------------------------
 
 
+def qbinom_coords(cols: Sequence[QLaurent]) -> list[QLaurent]:
+    """Coordinates b_j = (delta^j f)(0) of f = sum_k cols[k] x^k in the
+    {x choose j}_q basis, over the columns' own denominator."""
+    bs = [cols[0]]
+    while len(cols) > 1:
+        cols = _hahn_laurent(cols)
+        bs.append(cols[0])
+    return bs
+
+
 def to_qbinom_basis(f: XPoly) -> tuple[QRatFunc, ...]:
-    """Coordinates c_j = (delta^j f)(0) of f = sum_j c_j {x choose j}_q;
-    the zero polynomial gives (0,)."""
-    if f.is_zero:
-        return (RF_ZERO,)
-    bs = [f.nums[0]]
-    cur = f.nums
-    while len(cur) > 1:
-        cur = _hahn_laurent(cur)
-        bs.append(cur[0])
-    return tuple(QRatFunc(b, f.den) for b in bs)
+    """Coordinates c_j of f = sum_j c_j {x choose j}_q; the zero polynomial
+    gives (0,)."""
+    return tuple(QRatFunc(b, f.den) for b in qbinom_coords(f.nums or (ZERO,)))
 
 
 def from_qbinom_basis(coeffs: Sequence[ScalarLike]) -> XPoly:
     """Reassemble sum_j coeffs[j] {x choose j}_q in the monomial basis."""
-    # XPoly coerces each scalar to Q(q), trims trailing zeros and clears
-    # the coordinates to Laurent numerators over one shared denominator.
     f = XPoly(coeffs)
-    if f.is_zero:
-        return _XP_ZERO
-    out = columns_over_qfactorial(qbinom_columns(f.nums), f.degree)
-    return out if f.den == ONE else XPoly._make(out.nums, out.den * f.den)
+    return from_qbinom_coords(f.nums or (ZERO,), f.den)
+
+
+def from_qbinom_coords(bs: Sequence[QLaurent], den: QLaurent = ONE) -> XPoly:
+    """The polynomial sum_j bs[j] {x choose j}_q / den, for Laurent bs: the
+    one route from q-binomial coordinates to an XPoly."""
+    out = columns_over_qfactorial(qbinom_columns(bs), len(bs) - 1)
+    return out if den == ONE else XPoly._make(out.nums, out.den * den)
 
 
 def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:

@@ -8,7 +8,7 @@ import pytest
 
 import qballot.csequence as csequence
 import qballot.report as report
-from qballot.ballot import qballot, qcatalan, tilde_qcatalan
+from qballot.ballot import qballot, qcatalan, tilde_f, tilde_qcatalan
 from qballot.csequence import (
     METHODS,
     CFamily,
@@ -130,6 +130,65 @@ def test_family_bounds():
         c_difference(0)
     with pytest.raises(ValueError):
         c_recurrence(-2)
+    for method in METHODS:
+        for nmax in (0, -1):
+            with pytest.raises(ValueError, match="nmax must be >= 1"):
+                c_family(method, nmax)
+
+
+def test_difference_and_recurrence_agree_past_acceptance_range():
+    diff = c_difference(16)
+    rec = c_recurrence(16)
+    for n in range(13, 17):
+        t = c_theorem1(n - 1)
+        assert diff.poly(n) == t, n
+        assert rec.poly(n) == t, n
+
+
+def test_difference_construction_does_no_field_arithmetic(monkeypatch):
+    # every step works on Laurent columns; no Q(q) element is added,
+    # multiplied, divided or negated on the way
+    monkeypatch.setattr(csequence, "_DIFFERENCE", [csequence._C1])
+
+    def refuse(*args):
+        raise AssertionError("Q(q) field arithmetic in the difference construction")
+
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+        monkeypatch.setattr(QRatFunc, op, refuse)
+    fam = c_difference(10)
+    for n in range(1, 11):
+        assert fam.poly(n) == c_theorem1(n - 1), n
+
+
+def test_difference_family_solves_the_defining_equation_in_sympy():
+    # An oracle sharing no arithmetic with qlaurent: over Q(q)[x],
+    # C_{n+1}(1 + qx) - C_{n+1}(x) = (1 + (q-1)x) q C_n(q^2 x + 1 + q)
+    # and C_{n+1}(-1/q) = 0.
+    sympy = pytest.importorskip("sympy")
+    q, x = sympy.symbols("q x")
+    field = sympy.QQ.frac_field(q)
+
+    def scalar(expr):
+        return field.from_sympy(sympy.sympify(expr))
+
+    def laurent(p):
+        return scalar(sum(c * q**e for e, c in p.items()))
+
+    def line(a, b):  # the polynomial a x + b
+        return sympy.Poly.from_list([scalar(a), scalar(b)], x, domain=field)
+
+    def to_sympy(p):
+        den = laurent(p.den)
+        cols = [laurent(c) / den for c in reversed(p.nums)]
+        return sympy.Poly.from_list(cols, x, domain=field)
+
+    polys = [to_sympy(p) for p in c_family("difference", 8)]
+    for n in range(1, 8):
+        cur, nxt = polys[n - 1], polys[n]
+        lhs = nxt.compose(line(q, 1)) - nxt
+        rhs = line(q * (q - 1), q) * cur.compose(line(q**2, 1 + q))
+        assert (lhs - rhs).is_zero, n
+        assert nxt.compose(line(0, -1 / q)).is_zero, n
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +273,7 @@ def test_eval_qint_cross_check_fires(monkeypatch, capsys, part):
     else:
         for n in range(4):  # the columns are built, and kept, from the true table
             theorem1_columns(n)
-        monkeypatch.setattr(csequence, "qballot", lambda n, k: qballot(n, k).shifted(1))
+        monkeypatch.setattr(csequence, "tilde_f", lambda m, n: tilde_f(m, n).shifted(1))
     with pytest.raises(ExactnessError, match="n=2, k=1"):
         c_eval_qint(2, 1)
     assert main(["verify", "prop1", "--max-n", "3"]) == 1
