@@ -150,6 +150,100 @@ def _numerator_report(
     )
 
 
+def _conjecture_rows(ns: list[int]) -> list[tuple]:
+    """For each n of the ascending list ns, the fields of
+    theorem1_numerator(n) that the sweep prints: (n, is_polynomial,
+    is_irreducible_fraction, all_coeffs_positive, coefficient_stats).
+
+    The n are split over one process per available CPU.  Sorted largest
+    first, they are dealt round-robin; this process keeps the first share,
+    so its ballot table ends as large as a serial run's, and each forked
+    child sends its rows back through a pipe as marshal data.  A child that
+    fails, or sends rows that are not its share's, has its share recomputed
+    here.  An error in this process's own share kills the children and
+    reruns every n serially, so the first error raised is the serial
+    run's.  With one CPU, no os.fork, or a second live thread (a child
+    could inherit one of its locks held), the sweep runs serially.
+    """
+    import marshal
+    import os
+    import threading
+
+    def rows(share: list[int]) -> list[tuple]:
+        return [
+            (r.n, r.is_polynomial, r.is_irreducible_fraction,
+             r.all_coeffs_positive, r.coefficient_stats)
+            for r in map(theorem1_numerator, share)
+        ]
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # the platform has no affinity mask
+        cpus = os.cpu_count() or 1
+    k = min(cpus, len(ns))
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return rows(ns)
+    shares = [sorted(ns, reverse=True)[i::k] for i in range(k)]
+    children: list[tuple[int, int, list[int]]] = []  # pid, read end, share
+    sent: dict[int, bytes] = {}
+    complete = False
+    try:
+        for share in shares[1:]:
+            fd, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: send its rows, and never return
+                code = 1
+                try:
+                    os.close(fd)
+                    with open(w, "wb") as pipe:
+                        pipe.write(marshal.dumps(rows(share)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, fd, share))
+        done = dict(zip(shares[0], rows(shares[0])))
+        for pid, fd, _ in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                sent[pid] = pipe.read()
+        complete = True
+    except Exception:
+        pass  # below, once no child is left, the serial rerun raises it again
+    finally:
+        status = {}
+        for pid, fd, _ in children:
+            os.close(fd)
+            if not complete:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            status[pid] = os.waitpid(pid, 0)[1]
+    if not complete:
+        return rows(ns)
+    redo = []
+    for pid, _, share in children:
+        got = None
+        if status[pid] == 0:
+            try:
+                got = marshal.loads(sent[pid])
+            except (EOFError, ValueError, TypeError):
+                pass
+        if type(got) is list and [
+            row[0] if type(row) is tuple and len(row) == 5 else None for row in got
+        ] == share:
+            done.update(zip(share, got))
+        else:
+            redo += share
+    redo.sort()
+    done.update(zip(redo, rows(redo)))
+    return [done[n] for n in ns]
+
+
 # -- Newton polytopes ---------------------------------------------------------
 
 
@@ -194,13 +288,23 @@ def newton_polytope(r: NumeratorReport) -> NewtonPolytope:
     if len(pts) == 1:
         p = pts[0]
         return NewtonPolytope((p,), (p,), (p,), (p,), ())
+    # Every point of column k lies on the line x = k, so every hull vertex
+    # is the lowest or highest q-exponent of its column: chain those alone.
+    ends = sorted(
+        {
+            (e, k)
+            for k, col in enumerate(r.numerator)
+            if not col.is_zero
+            for e in (col.min_exp, col.max_exp)
+        }
+    )
     lower: list[tuple[int, int]] = []
-    for p in pts:
+    for p in ends:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper: list[tuple[int, int]] = []
-    for p in reversed(pts):
+    for p in reversed(ends):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
@@ -585,16 +689,18 @@ def _suite_stirling(maxn: int) -> SuiteReport:
 
 def _suite_conjecture(maxn: int) -> SuiteReport:
     rep = SuiteReport("conjecture")
-    for n in range(2, maxn + 1):
-        r = theorem1_numerator(n)
+    for n, poly, irreducible, positive, _ in _conjecture_rows(
+        list(range(2, maxn + 1))
+    ):
+        ok = poly and irreducible and positive
         detail = None
-        if not r.ok:
+        if not ok:
             detail = (
-                f"polynomial={r.is_polynomial} "
-                f"irreducible={r.is_irreducible_fraction} "
-                f"positive={r.all_coeffs_positive}"
+                f"polynomial={poly} "
+                f"irreducible={irreducible} "
+                f"positive={positive}"
             )
-        rep.results.append(CheckResult("numerator-flags", n, None, r.ok, detail))
+        rep.results.append(CheckResult("numerator-flags", n, None, ok, detail))
     return rep
 
 

@@ -208,42 +208,37 @@ def cmd_conjecture(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 2:
         raise ValueError("--max-n must be >= 2")
-    from .analysis import theorem1_numerator
+    from .analysis import _conjecture_rows
 
-    reports = [theorem1_numerator(n) for n in range(2, maxn + 1)]
-
-    ok = all(r.ok for r in reports)
+    rows = _conjecture_rows(list(range(2, maxn + 1)))
+    ok = all(poly and irr and pos for _, poly, irr, pos, _ in rows)
     if args.format == "json":
-        rows = [
+        results = [
             {
-                "n": r.n,
-                "is_polynomial": r.is_polynomial,
-                "is_irreducible_fraction": r.is_irreducible_fraction,
-                "all_coeffs_positive": r.all_coeffs_positive,
-                "coefficient_stats": [list(s) for s in r.coefficient_stats],
+                "n": n,
+                "is_polynomial": poly,
+                "is_irreducible_fraction": irr,
+                "all_coeffs_positive": pos,
+                "coefficient_stats": [list(s) for s in stats],
             }
-            for r in reports
+            for n, poly, irr, pos, stats in rows
         ]
-        text = _json_text({"max_n": maxn, "all_ok": ok, "results": rows})
+        text = _json_text({"max_n": maxn, "all_ok": ok, "results": results})
     elif args.format == "csv":
-        rows = [
-            (r.n, r.is_polynomial, r.is_irreducible_fraction, r.all_coeffs_positive)
-            for r in reports
-        ]
         text = _csv_text(
             ("n", "is_polynomial", "is_irreducible_fraction", "all_coeffs_positive"),
-            rows,
+            [row[:4] for row in rows],
         )
     else:
         lines = []
-        for r in reports:
-            if r.ok:
-                lines.append(f"n={r.n}: ok")
+        for n, poly, irr, pos, _ in rows:
+            if poly and irr and pos:
+                lines.append(f"n={n}: ok")
             else:
                 lines.append(
-                    f"n={r.n}: FAIL polynomial={r.is_polynomial} "
-                    f"irreducible={r.is_irreducible_fraction} "
-                    f"positive={r.all_coeffs_positive}"
+                    f"n={n}: FAIL polynomial={poly} "
+                    f"irreducible={irr} "
+                    f"positive={pos}"
                 )
         lines.append(
             f"conjecture 2..{maxn}: " + ("all ok" if ok else "FAILURES above")

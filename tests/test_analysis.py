@@ -4,6 +4,7 @@ verification suites."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import qballot.analysis as analysis
 import qballot.report as report
@@ -203,6 +204,67 @@ def test_polytope_single_point():
 def test_polytope_zero_polynomial():
     with pytest.raises(ValueError, match="zero polynomial"):
         newton_polytope(numerator(1, XPoly.zero()))
+
+
+def _chain_of_all_points(pts):
+    """The monotone chain over every point, lower and upper (right to left)."""
+    pts = sorted(set(pts))
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and analysis._cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain)
+    lower, upper = chains
+    return tuple(lower[:-1] + upper[:-1]), tuple(lower), tuple(reversed(upper))
+
+
+def _polytope_of(cols):
+    return newton_polytope(NumeratorReport(
+        n=len(cols), numerator=tuple(cols), denominator=ONE, is_polynomial=True,
+        is_irreducible_fraction=True, all_coeffs_positive=True, coefficient_stats=(),
+    ))
+
+
+def _agrees_with_all_points_chain(p):
+    hull, lower, upper = _chain_of_all_points(p.points)
+    assert (p.hull, p.lower_hull, p.upper_hull) == (hull, lower, upper)
+
+
+def test_polytope_hull_is_the_chain_of_all_points():
+    for n in range(2, 17):
+        _agrees_with_all_points_chain(newton_polytope(theorem1_numerator(n)))
+
+
+# A column is zero or a run from q^lo with nonzero ends and any zeros inside.
+_columns = st.lists(
+    st.one_of(
+        st.just(ZERO),
+        st.builds(
+            lambda lo, cs: QLaurent({lo + i: c for i, c in enumerate(cs) if c}),
+            st.integers(-4, 12),
+            st.lists(st.integers(0, 2), max_size=10).map(lambda cs: [1, *cs, 1]),
+        ),
+        st.builds(QLaurent.monomial, st.integers(-4, 12)),
+    ),
+    min_size=1,
+    max_size=8,
+).filter(lambda cols: any(not c.is_zero for c in cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_columns)
+def test_polytope_from_row_extremes_matches_all_points(cols):
+    pts = sorted((e, k) for k, col in enumerate(cols) for e, _ in col.items())
+    _, _, upper = _chain_of_all_points(pts)
+    # a level edge on the upper hull has no dq/dx slope; P_n has none
+    assume(all(a[1] != b[1] for a, b in zip(upper, upper[1:])))
+    p = _polytope_of(cols)
+    assert p.points == tuple(pts)
+    if len(pts) > 1:
+        _agrees_with_all_points_chain(p)
 
 
 def test_polytope_json():

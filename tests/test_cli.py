@@ -4,9 +4,12 @@ import contextlib
 import functools
 import io
 import json
+import marshal
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +21,7 @@ import qballot.ballot as ballot_mod
 import qballot.cli as cli
 from qballot.ballot import BallotTable, qballot
 from qballot.cli import main
-from qballot.qlaurent import ONE
+from qballot.qlaurent import ONE, ExactnessError
 from qballot.report import CheckResult, SuiteReport
 
 # ---------------------------------------------------------------------------
@@ -253,6 +256,188 @@ def test_negative_path_cap_exits_two(capsys, monkeypatch):
 def test_conjecture_requires_two(capsys):
     assert main(["conjecture", "--max-n", "1"]) == 2
     assert "must be >= 2" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the sweep split over forked children
+
+SWEEP = ["conjecture", "--max-n", "9"]  # n = 2..9
+
+
+@pytest.fixture
+def sweep_cpus(monkeypatch):
+    """Set the CPU count the sweep sees; returns the pids it forked."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def set_cpus(k):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(k)), raising=False
+        )
+        return forks
+
+    return set_cpus
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial(capsys, sweep_cpus, argv):
+    sweep_cpus(1)
+    code = main(argv)
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [SWEEP + ["--format", fmt] for fmt in ("text", "json", "csv")]
+    + [["verify", "conjecture", "--max-n", "9"]],
+    ids=["text", "json", "csv", "verify"],
+)
+def test_split_sweep_prints_the_serial_output(argv, capsys, sweep_cpus):
+    serial = _serial(capsys, sweep_cpus, argv)
+    assert serial[0] == 0
+    for k in (2, 3):
+        forks = sweep_cpus(k)
+        before = len(forks)
+        assert (main(argv), capsys.readouterr()) == serial
+        assert len(forks) - before == k - 1
+        _assert_no_child_left()
+
+
+def test_split_sweep_keeps_the_largest_n(monkeypatch, sweep_cpus, capsys):
+    parent, seen = os.getpid(), []
+    real = analysis.theorem1_numerator
+
+    def record(n):
+        if os.getpid() == parent:
+            seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(analysis, "theorem1_numerator", record)
+    sweep_cpus(3)
+    assert main(SWEEP) == 0
+    assert seen == [9, 6, 3]  # 9, 8, ..., 2 dealt round-robin to 3 shares
+    _assert_no_child_left()
+
+
+def test_failed_child_share_is_recomputed(monkeypatch, sweep_cpus, capsys):
+    serial = _serial(capsys, sweep_cpus, SWEEP)
+    parent = os.getpid()
+    real = analysis.theorem1_numerator
+
+    def in_parent_only(n):
+        if os.getpid() != parent:
+            raise ExactnessError("fault in a child")
+        return real(n)
+
+    monkeypatch.setattr(analysis, "theorem1_numerator", in_parent_only)
+    forks = sweep_cpus(3)
+    assert (main(SWEEP), capsys.readouterr()) == serial
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "sent",
+    [b"not marshal data", marshal.dumps([]), marshal.dumps([(2, True, True, True, ())])],
+    ids=["garbage", "no-rows", "wrong-rows"],
+)
+def test_child_rows_that_miss_the_share_are_recomputed(
+    sent, monkeypatch, sweep_cpus, capsys
+):
+    serial = _serial(capsys, sweep_cpus, SWEEP)
+    parent = os.getpid()
+    real_dumps = marshal.dumps
+    monkeypatch.setattr(
+        marshal, "dumps",
+        lambda rows: real_dumps(rows) if os.getpid() == parent else sent,
+    )
+    sweep_cpus(2)
+    assert (main(SWEEP), capsys.readouterr()) == serial
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "bad", [{4}, {9}, {4, 9}, {5, 8}], ids=["child", "parent", "both", "mixed"]
+)
+@pytest.mark.parametrize("exc", [ExactnessError, ValueError])
+def test_sweep_error_is_the_serial_error(bad, exc, monkeypatch, sweep_cpus, capsys):
+    # With 2 workers the parent's share is 9, 7, 5, 3 and the child's
+    # 8, 6, 4, 2; the serial run raises at the smallest bad n.
+    real = analysis.theorem1_numerator
+
+    def broken(n):
+        if n in bad:
+            raise exc(f"bad n={n}")
+        return real(n)
+
+    monkeypatch.setattr(analysis, "theorem1_numerator", broken)
+    serial = _serial(capsys, sweep_cpus, SWEEP)
+    assert serial[0] == (3 if exc is ExactnessError else 2)
+    assert serial[1].err.endswith(f"bad n={min(bad)}\n")
+    sweep_cpus(2)
+    assert (main(SWEEP), capsys.readouterr()) == serial
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "thread", "no-fork"])
+def test_sweep_stays_serial(case, monkeypatch, sweep_cpus, capsys):
+    serial = _serial(capsys, sweep_cpus, SWEEP)
+    forks = sweep_cpus(1 if case == "one-cpu" else 2)
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "thread":
+        thread.start()
+    try:
+        assert (main(SWEEP), capsys.readouterr()) == serial
+    finally:
+        stop.set()
+        if case == "thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+def test_sweep_counts_cpus_without_an_affinity_mask(monkeypatch, sweep_cpus, capsys):
+    serial = _serial(capsys, sweep_cpus, SWEEP)
+    forks = sweep_cpus(2)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert (main(SWEEP), capsys.readouterr()) == serial
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_split_sweep_writes_the_serial_cache(tmp_path):
+    # Cold processes, so the ballot table starts empty: the parent keeps
+    # the largest n, and so fills the table a serial run fills.
+    def cold(cpus, cache):
+        code = (
+            "import os, sys\n"
+            f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+            "from qballot.cli import main\n"
+            f"sys.exit(main(['conjecture', '--max-n', '12', '--cache', {str(cache)!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout, cache.read_bytes()
+
+    assert cold(3, tmp_path / "split.json") == cold(1, tmp_path / "serial.json")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ loads, every op pays for.  The CLI loads no `dataclasses` (which brings
 `inspect` with it), and loads `json` and `csv` only where an op's output or
 its --cache file needs them.  Of the package, a bare `import qballot` loads
 no module, and the CLI loads `analysis`, `csequence` and `qcore` only for the
-commands that run them.  The ops that do need them are run cold here too.
+commands that run them.  The ops that do need them are run cold here too,
+and the conjecture sweep, split over forked children, loads no process-pool
+or pickling module.
 """
 
 import contextlib
@@ -129,3 +131,13 @@ def test_cache_build_then_lookup_in_cold_processes(tmp_path):
     assert (lookup.returncode, lookup.stderr) == (0, "")
     assert lookup.stdout == _cli("ballot", "--n", "5", "--k", "3").stdout
     assert cache.read_bytes() == saved  # nothing new to store
+
+
+def test_conjecture_sweep_imports_no_process_pool():
+    # the split sweep forks with os and sends rows with marshal
+    proc = _run("-X", "importtime", "-m", "qballot.cli", "conjecture", "--max-n", "5")
+    assert proc.returncode == 0, proc.stderr
+    names = _imported(proc.stderr)
+    assert "qballot.analysis" in names
+    top = {name.split(".")[0] for name in names}
+    assert top & {"multiprocessing", "concurrent", "pickle", "subprocess"} == set()
