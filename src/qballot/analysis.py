@@ -158,12 +158,12 @@ def _conjecture_rows(ns: list[int]) -> list[tuple]:
     The n are split over one process per available CPU.  Sorted largest
     first, they are dealt round-robin; this process keeps the first share,
     so its ballot table ends as large as a serial run's, and each forked
-    child sends its rows back through a pipe as marshal data.  A child that
-    fails, or sends rows that are not its share's, has its share recomputed
-    here.  An error in this process's own share kills the children and
-    reruns every n serially, so the first error raised is the serial
-    run's.  With one CPU, no os.fork, or a second live thread (a child
-    could inherit one of its locks held), the sweep runs serially.
+    child sends its rows back through a pipe as marshal data.  Any fault (an
+    error here, a child that exits nonzero, or rows whose n are not the
+    child's share) kills and reaps every child, then reruns every n here,
+    so the output, or the first error raised, is the serial run's.  With
+    one CPU, no os.fork, or a second live thread (a child could inherit
+    one of its locks held), the sweep runs serially.
     """
     import marshal
     import os
@@ -184,9 +184,8 @@ def _conjecture_rows(ns: list[int]) -> list[tuple]:
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return rows(ns)
     shares = [sorted(ns, reverse=True)[i::k] for i in range(k)]
-    children: list[tuple[int, int, list[int]]] = []  # pid, read end, share
-    sent: dict[int, bytes] = {}
-    complete = False
+    children: list[tuple[int, int]] = []  # pid, read end of its pipe
+    done = None  # all the rows, once every share's have arrived with the right n
     try:
         for share in shares[1:]:
             fd, w = os.pipe()
@@ -206,42 +205,25 @@ def _conjecture_rows(ns: list[int]) -> list[tuple]:
                 finally:
                     os._exit(code)
             os.close(w)
-            children.append((pid, fd, share))
-        done = dict(zip(shares[0], rows(shares[0])))
-        for pid, fd, _ in children:
+            children.append((pid, fd))
+        got = rows(shares[0])
+        for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
-                sent[pid] = pipe.read()
-        complete = True
+                got += marshal.loads(pipe.read())
+        if [row[0] for row in got] == [n for share in shares for n in share]:
+            done = got
     except Exception:
         pass  # below, once no child is left, the serial rerun raises it again
     finally:
-        status = {}
-        for pid, fd, _ in children:
+        for pid, fd in children:
             os.close(fd)
-            if not complete:
+            if done is None:
                 import signal
 
                 os.kill(pid, signal.SIGKILL)
-            status[pid] = os.waitpid(pid, 0)[1]
-    if not complete:
-        return rows(ns)
-    redo = []
-    for pid, _, share in children:
-        got = None
-        if status[pid] == 0:
-            try:
-                got = marshal.loads(sent[pid])
-            except (EOFError, ValueError, TypeError):
-                pass
-        if type(got) is list and [
-            row[0] if type(row) is tuple and len(row) == 5 else None for row in got
-        ] == share:
-            done.update(zip(share, got))
-        else:
-            redo += share
-    redo.sort()
-    done.update(zip(redo, rows(redo)))
-    return [done[n] for n in ns]
+            if os.waitpid(pid, 0)[1]:
+                done = None
+    return rows(ns) if done is None else sorted(done)
 
 
 # -- Newton polytopes ---------------------------------------------------------
@@ -277,7 +259,12 @@ class NewtonPolytope(NamedTuple):
 
 
 def newton_polytope(r: NumeratorReport) -> NewtonPolytope:
-    """Convex hull of the exponents of P_n, by monotone chain over exact ints."""
+    """Convex hull of the exponents of P_n, by monotone chain over exact ints.
+
+    Raises ValueError when P_n does not clear its denominator, is zero, or
+    has an upper hull edge of constant x-exponent (the one column 1 + q,
+    say), since such an edge has no slope dq/dx.
+    """
     if not r.is_polynomial:
         raise ValueError("numerator did not clear its denominator; no polytope")
     pts = sorted(
@@ -310,6 +297,8 @@ def newton_polytope(r: NumeratorReport) -> NewtonPolytope:
         upper.append(p)
     hull = tuple(lower[:-1] + upper[:-1])
     up = tuple(reversed(upper))  # lex-min ... lex-max along the upper boundary
+    if any(a[1] == b[1] for a, b in zip(up, up[1:])):
+        raise ValueError("upper hull has a level edge, which has no dq/dx slope")
     slopes = tuple(
         Fraction(b[0] - a[0], b[1] - a[1]) for a, b in zip(up, up[1:])
     )
@@ -416,39 +405,22 @@ def _suite_prop1(maxn: int) -> SuiteReport:
                 oracle = qballot_paths(k + n, n).subs_q_inverse().shifted(
                     k * n + n * (n + 1) // 2
                 )
-                ok = val == oracle
-                rep.results.append(
-                    CheckResult(
-                        "qint-path-oracle",
-                        n,
-                        k,
-                        ok,
-                        None if ok else f"closed={val} paths={oracle}",
-                    )
-                )
+                rep.expect("qint-path-oracle", n, k, val, oracle, ("closed", "paths"))
     return rep
 
 
 def _suite_corollary(maxn: int) -> SuiteReport:
     rep = SuiteReport("corollary")
     for n in range(1, maxn + 1):
-        at0 = c_theorem1(n).eval(RF_ZERO)
-        prev1 = c_theorem1(n - 1).eval(RF_ONE)
-        ok = at0 == prev1
-        rep.results.append(
-            CheckResult(
-                "value-at-0", n + 1, None, ok,
-                None if ok else f"C(0)={at0} prev(1)={prev1}",
-            )
+        rep.expect(
+            "value-at-0", n + 1, None,
+            c_theorem1(n).eval(RF_ZERO), c_theorem1(n - 1).eval(RF_ONE),
+            ("C(0)", "prev(1)"),
         )
-        at1 = c_theorem1(n).eval(RF_ONE)
-        tq = QRatFunc(tilde_qcatalan(n + 1))
-        ok = at1 == tq
-        rep.results.append(
-            CheckResult(
-                "value-at-1", n + 1, None, ok,
-                None if ok else f"C(1)={at1} reversed-catalan={tq}",
-            )
+        rep.expect(
+            "value-at-1", n + 1, None,
+            c_theorem1(n).eval(RF_ONE), QRatFunc(tilde_qcatalan(n + 1)),
+            ("C(1)", "reversed-catalan"),
         )
     return rep
 
@@ -457,23 +429,15 @@ def _suite_prop2(maxn: int) -> SuiteReport:
     rep = SuiteReport("prop2")
     for n in range(maxn + 1):
         closed = c_q1(n)
-        collapsed = q1_specialize(c_theorem1(n))
-        ok = closed == collapsed
-        rep.results.append(
-            CheckResult(
-                "q1-closed-form", n + 1, None, ok,
-                None if ok else f"closed={closed} collapsed={collapsed}",
-            )
+        rep.expect(
+            "q1-closed-form", n + 1, None,
+            closed, q1_specialize(c_theorem1(n)), ("closed", "collapsed"),
         )
         for m in range(6):
-            want = QRatFunc(c_q1_at_int(n, m))
-            got = closed.eval(QRatFunc(m))
-            ok = got == want
-            rep.results.append(
-                CheckResult(
-                    "q1-binomial-points", n + 1, m, ok,
-                    None if ok else f"poly={got} binomial={want}",
-                )
+            rep.expect(
+                "q1-binomial-points", n + 1, m,
+                closed.eval(QRatFunc(m)), QRatFunc(c_q1_at_int(n, m)),
+                ("poly", "binomial"),
             )
     return rep
 
@@ -487,12 +451,10 @@ def _suite_thm1(maxn: int) -> SuiteReport:
             CheckResult("expansion-vs-difference", n, None, ok,
                         None if ok else "polynomials differ")
         )
-        shifted = c_shifted_theorem1(n)
-        direct = subst_affine(c_theorem1(n - 1), Q, 1)
-        ok = shifted == direct
-        rep.results.append(
-            CheckResult("shifted-expansion", n, None, ok,
-                        None if ok else f"expansion={shifted} direct={direct}")
+        rep.expect(
+            "shifted-expansion", n, None,
+            c_shifted_theorem1(n), subst_affine(c_theorem1(n - 1), Q, 1),
+            ("expansion", "direct"),
         )
     return rep
 
@@ -519,11 +481,7 @@ def _suite_key_identities(maxn: int) -> SuiteReport:
                 rhs = rhs + (
                     qballot(n + j, n - j) * gauss_binom(k, j)
                 ).shifted((n - j) * (k - j) + j)
-            ok = lhs == rhs
-            rep.results.append(
-                CheckResult("interpolation-identity", n, k, ok,
-                            None if ok else f"lhs={lhs} rhs={rhs}")
-            )
+            rep.expect("interpolation-identity", n, k, lhs, rhs)
             if n >= 1:
                 lhs = qballot(k + n, n - 1)
                 rhs = ZERO
@@ -533,11 +491,7 @@ def _suite_key_identities(maxn: int) -> SuiteReport:
                     rhs = rhs + (
                         qballot(n + j, n - j - 1) * gauss_binom(k, j)
                     ).shifted((n - j - 1) * (k - j) + j)
-                ok = lhs == rhs
-                rep.results.append(
-                    CheckResult("shifted-interpolation-identity", n, k, ok,
-                                None if ok else f"lhs={lhs} rhs={rhs}")
-                )
+                rep.expect("shifted-interpolation-identity", n, k, lhs, rhs)
     for m in range(1, maxn + 1):
         for n in range(1, m + 1):
             lhs = q_int(n) * tilde_f(m, n)
@@ -546,11 +500,7 @@ def _suite_key_identities(maxn: int) -> SuiteReport:
                 rhs = rhs + (
                     q_int(n - j - 1) * tilde_f(j, j) * tilde_f(m - j - 1, n - j - 1)
                 ).shifted(2 * j + 1)
-            ok = lhs == rhs
-            rep.results.append(
-                CheckResult("pointed-path-identity", m, n, ok,
-                            None if ok else f"lhs={lhs} rhs={rhs}")
-            )
+            rep.expect("pointed-path-identity", m, n, lhs, rhs)
     return rep
 
 
@@ -565,11 +515,7 @@ def _suite_q1_identities(maxn: int) -> SuiteReport:
         rhs = 2 * n * _catalan_number(n)
         for j in range(n - 1):
             rhs += (n - j - 1) * _catalan_number(j) * _catalan_number(n - j)
-        ok = lhs == rhs
-        rep.results.append(
-            CheckResult("catalan-recurrence", n, None, ok,
-                        None if ok else f"lhs={lhs} rhs={rhs}")
-        )
+        rep.expect("catalan-recurrence", n, None, lhs, rhs)
     return rep
 
 
@@ -584,28 +530,12 @@ def verify_carlitz_convolution(maxn: int) -> SuiteReport:
         rhs = ZERO
         for i in range(n + 1):
             rhs = rhs + (qcatalan(i) * qcatalan(n - i)).shifted((i + 1) * (n - i))
-        rep.results.append(
-            CheckResult(
-                "convolution-area",
-                n + 1,
-                None,
-                lhs == rhs,
-                None if lhs == rhs else f"lhs={lhs} rhs={rhs}",
-            )
-        )
+        rep.expect("convolution-area", n + 1, None, lhs, rhs)
         lhs_t = tilde_qcatalan(n + 1)
         rhs_t = ZERO
         for i in range(n + 1):
             rhs_t = rhs_t + (tilde_qcatalan(i) * tilde_qcatalan(n - i)).shifted(i)
-        rep.results.append(
-            CheckResult(
-                "convolution-reversed",
-                n + 1,
-                None,
-                lhs_t == rhs_t,
-                None if lhs_t == rhs_t else f"lhs={lhs_t} rhs={rhs_t}",
-            )
-        )
+        rep.expect("convolution-reversed", n + 1, None, lhs_t, rhs_t)
     return rep
 
 
@@ -658,17 +588,7 @@ def andrews_check(maxn: int, readings: Iterable[str] = ("literal",)) -> SuiteRep
             else:  # lowered-exponent: q^((n-j)j) on the summand, no overall q
                 lhs = qcatalan(n)
                 rhs = _andrews_rhs(n, qcatalan, exp_drop=1, tail_power=0)
-            ok = lhs == rhs
-            rep.results.append(
-                CheckResult(
-                    f"andrews-{reading}",
-                    n,
-                    None,
-                    ok,
-                    None if ok else f"lhs={lhs} rhs={rhs}",
-                    asserted=False,
-                )
-            )
+            rep.expect(f"andrews-{reading}", n, None, lhs, rhs, asserted=False)
     return rep
 
 
@@ -677,12 +597,11 @@ def _suite_stirling(maxn: int) -> SuiteReport:
     for n in range(maxn + 1):
         e = to_qbinom_basis(XPoly([0] * n + [1]))
         for k in range(n + 1):
-            want = QRatFunc(q_factorial(k) * q_stirling(n, k))
-            got = e[k] if k < len(e) else RF_ZERO
-            ok = got == want
-            rep.results.append(
-                CheckResult("stirling-difference", n, k, ok,
-                            None if ok else f"basis={got} stirling={want}")
+            rep.expect(
+                "stirling-difference", n, k,
+                e[k] if k < len(e) else RF_ZERO,
+                QRatFunc(q_factorial(k) * q_stirling(n, k)),
+                ("basis", "stirling"),
             )
     return rep
 

@@ -142,39 +142,23 @@ def cmd_cx(args: argparse.Namespace) -> tuple[str, int]:
     from .qcore import to_qbinom_basis
 
     poly = c_family(args.method, args.n).poly(args.n)
-    if args.basis == "qbinom":
-        e = to_qbinom_basis(poly)
-        coeffs = [str(c) for c in e]
-        if args.format == "json":
-            text = _json_text(
-                {
-                    "n": args.n,
-                    "method": args.method,
-                    "basis": "qbinom",
-                    "coeffs": coeffs,
-                }
-            )
-        elif args.format == "csv":
-            text = _csv_text(
-                ("k", "coefficient"), list(enumerate(coeffs))
-            )
-        else:
-            text = f"C_{args.n}(x|q) = {format_qbinom(e)}\n"
+    e = to_qbinom_basis(poly) if args.basis == "qbinom" else poly.coeffs
+    coeffs = [str(c) for c in e]
+    if args.format == "json":
+        text = _json_text(
+            {
+                "n": args.n,
+                "method": args.method,
+                "basis": args.basis,
+                "coeffs": coeffs,
+            }
+        )
+    elif args.format == "csv":
+        text = _csv_text(("k", "coefficient"), list(enumerate(coeffs)))
+    elif args.basis == "qbinom":
+        text = f"C_{args.n}(x|q) = {format_qbinom(e)}\n"
     else:
-        coeffs = [str(c) for c in poly.coeffs]
-        if args.format == "json":
-            text = _json_text(
-                {
-                    "n": args.n,
-                    "method": args.method,
-                    "basis": "monomial",
-                    "coeffs": coeffs,
-                }
-            )
-        elif args.format == "csv":
-            text = _csv_text(("k", "coefficient"), list(enumerate(coeffs)))
-        else:
-            text = f"C_{args.n}(x|q) = {poly}\n"
+        text = f"C_{args.n}(x|q) = {poly}\n"
     return text, 0
 
 

@@ -50,7 +50,7 @@ from .qlaurent import (
     lowest_terms,
     ql_divexact,
 )
-from .report import METHODS, CheckResult, SuiteReport
+from .report import METHODS, SuiteReport
 
 _Q_SQUARED = QLaurent.monomial(2)
 _ONE_PLUS_Q = ONE + Q
@@ -294,31 +294,13 @@ def q1_identity_reports(maxn: int) -> SuiteReport:
         for j in range(n + 1):
             w = QRatFunc(Fraction(2 * j + 1, n + j + 1) * comb(2 * n, n - j))
             rhs_c = rhs_c + binom_x[j] * w
-        ok = lhs_c == rhs_c
-        rep.results.append(
-            CheckResult(
-                "q1-interpolation",
-                n,
-                None,
-                ok,
-                None if ok else f"lhs={lhs_c} rhs={rhs_c}",
-            )
-        )
+        rep.expect("q1-interpolation", n, None, lhs_c, rhs_c)
         lhs_d = subst_affine(c_q1(n - 1), RF_ONE, RF_ONE)
         rhs_d = XPoly.zero()
         for j in range(n):
             w = QRatFunc(Fraction(2 * j + 2, n + j + 1) * comb(2 * n - 1, n - j - 1))
             rhs_d = rhs_d + binom_x[j] * w
-        ok = lhs_d == rhs_d
-        rep.results.append(
-            CheckResult(
-                "q1-shifted",
-                n,
-                None,
-                ok,
-                None if ok else f"lhs={lhs_d} rhs={rhs_d}",
-            )
-        )
+        rep.expect("q1-shifted", n, None, lhs_d, rhs_d)
     return rep
 
 

@@ -299,8 +299,8 @@ def qbinom_x(k: int) -> XPoly:
 # An XPoly already is Laurent columns over one shared denominator, so every
 # operation below computes on its columns (_subst_laurent, _hahn_laurent)
 # with no gcd, and reduces once per result (XPoly._make).  Scalars are
-# cleared to that form by _clear_denominators, the one place outside
-# qlaurent that takes a polynomial gcd.  The q-binomial expansions work on
+# cleared to that form by _clear_denominators; outside qlaurent, only it
+# and analysis.numerator call poly_gcd.  The q-binomial expansions work on
 # the same columns: qbinom_coords reads coordinates off iterated Hahn steps,
 # and from_qbinom_coords is the one route from coordinates to an XPoly.
 

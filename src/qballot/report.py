@@ -58,6 +58,22 @@ class SuiteReport:
         self.results = [] if results is None else results
         self.mode = mode
 
+    def expect(
+        self,
+        id: str,
+        n: Optional[int],
+        k: Optional[int],
+        got: object,
+        want: object,
+        names: tuple[str, str] = ("lhs", "rhs"),
+        asserted: bool = True,
+    ) -> None:
+        """Record whether got == want; both sides are formatted, as
+        "name=value" pairs, only when they differ."""
+        ok = got == want
+        detail = None if ok else f"{names[0]}={got} {names[1]}={want}"
+        self.results.append(CheckResult(id, n, k, ok, detail, asserted))
+
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results if r.asserted)

@@ -4,7 +4,7 @@ verification suites."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qballot.analysis as analysis
 import qballot.report as report
@@ -256,11 +256,15 @@ _columns = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(_columns)
+@example([ONE + Q])  # one column: the upper hull is one level edge
 def test_polytope_from_row_extremes_matches_all_points(cols):
     pts = sorted((e, k) for k, col in enumerate(cols) for e, _ in col.items())
     _, _, upper = _chain_of_all_points(pts)
-    # a level edge on the upper hull has no dq/dx slope; P_n has none
-    assume(all(a[1] != b[1] for a, b in zip(upper, upper[1:])))
+    if any(a[1] == b[1] for a, b in zip(upper, upper[1:])):
+        # a level edge on the upper hull has no dq/dx slope
+        with pytest.raises(ValueError, match="level edge"):
+            _polytope_of(cols)
+        return
     p = _polytope_of(cols)
     assert p.points == tuple(pts)
     if len(pts) > 1:
@@ -393,3 +397,33 @@ def test_report_shapes():
     lines = rep.lines()
     assert lines[-1] == f"suite carlitz: {len(rep.results)}/{len(rep.results)} ok (pass)"
     assert all(line.startswith("[ok]") for line in lines[:-1])
+
+
+class _Unprintable:
+    """Equal to anything; formatting it fails."""
+
+    def __eq__(self, other):
+        return True
+
+    def __str__(self):
+        raise AssertionError("formatted a passing check")
+
+
+def test_expect_formats_nothing_when_equal():
+    rep = report.SuiteReport("s")
+    rep.expect("same", 1, None, _Unprintable(), _Unprintable())
+    assert rep.results == [report.CheckResult("same", 1, None, True, None)]
+
+
+def test_expect_failure_detail():
+    rep = report.SuiteReport("s", mode="report")
+    rep.expect("sum", 2, 3, ONE + Q, ONE)
+    rep.expect("value", 4, None, Q, ZERO, ("C(0)", "prev(1)"), asserted=False)
+    assert rep.results == [
+        report.CheckResult("sum", 2, 3, False, "lhs=1+q rhs=1"),
+        report.CheckResult("value", 4, None, False, "C(0)=q prev(1)=0", False),
+    ]
+    assert rep.lines()[:2] == [
+        "[FAIL] sum n=2 k=3: lhs=1+q rhs=1",
+        "[MISMATCH] value n=4: C(0)=q prev(1)=0",
+    ]

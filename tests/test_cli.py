@@ -421,6 +421,25 @@ def test_sweep_counts_cpus_without_an_affinity_mask(monkeypatch, sweep_cpus, cap
     _assert_no_child_left()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_failed_fork_gives_the_serial_output(monkeypatch, sweep_cpus, capsys):
+    serial = _serial(capsys, sweep_cpus, SWEEP)
+    forks = sweep_cpus(3)
+    real_fork = os.fork
+
+    def second_fails():
+        if forks:
+            raise OSError("fork refused")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert (main(SWEEP), capsys.readouterr()) == serial
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
 def test_split_sweep_writes_the_serial_cache(tmp_path):
     # Cold processes, so the ballot table starts empty: the parent keeps
     # the largest n, and so fills the table a serial run fills.
