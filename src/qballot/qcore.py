@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, starmap, zip_longest
+from math import comb, lcm
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
@@ -415,17 +416,108 @@ def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
     """The x-columns of [d]_q! * sum_j bs[j] {x choose j}_q, d = len(bs) - 1.
 
     Since [d]_q!/[j]_q! = [j+1]_q...[d]_q, this is the Newton-Horner sum
-    sum_j c_j (x - [0]_q)...(x - [j-1]_q) with c_j = bs[j] [j+1]_q...[d]_q:
-    no division, so Laurent inputs give Laurent columns.  Column k is the
-    coefficient of x^k.
+    sum_j bs[j] [j+1]_q...[d]_q (x - [0]_q)...(x - [j-1]_q): no division,
+    so Laurent inputs give Laurent columns.  Column k is the coefficient of
+    x^k.
+
+    The sum is computed times (1-q)^d in y = (1-q)x.  There (1-q)[i]_q =
+    1 - q^i and (1-q)(x - [l]_q) = y - (1 - q^l), so on the runs packed as
+    integers at q = 2^w every factor is one shift and one subtract.  The
+    y-columns r_k = cols[k] (1-q)^(d-k) are the only values unpacked: w
+    holds `_column_bound`, a sign bit and a spare bit, rounded up to whole
+    bytes, so their signed digits are exact (q -> 2^w is a ring map, so no
+    intermediate value needs to fit).  Each column is r_k divided d-k times
+    by 1-q.  Fraction inputs are scaled to integers by the lcm of their
+    denominators and divided back at the end.
     """
     d = len(bs) - 1
-    cs = []
-    for j, c in enumerate(bs):
-        for i in range(j + 1, d + 1):
-            c = _qint_mul(c, i)
-        cs.append(c)
-    return tuple(_horner(cs))
+    live = [b for b in bs if b]
+    if not live:
+        return (ZERO,) * (d + 1)
+    lo = min(b.lo for b in live)
+    scale = lcm(*(c.denominator for b in live if not b.ints for c in b.cs))
+    runs = [b.cs if scale == 1 else [c.numerator * (scale // c.denominator) for c in b.cs]
+            for b in bs]
+    nbytes = (_column_bound([sum(map(abs, run)) for run in runs]).bit_length() + 9) // 8
+    w = 8 * nbytes
+    # e_j = b_j (1 - q^(j+1))...(1 - q^d), each b_j packed at its offset from lo
+    es = []
+    for j, (b, run) in enumerate(zip(bs, runs)):
+        v = 0
+        if b:
+            v = _pack(run, nbytes) << (b.lo - lo) * w
+            for i in range(j + 1, d + 1):
+                v -= v << i * w
+        es.append(v)
+    # Horner in y: acc * (y - (1 - q^j)) + e_j; y-column i is
+    # acc[i-1] - (1 - q^j) acc[i]
+    acc = es[-1:]
+    for j in range(d - 1, -1, -1):
+        s = j * w
+        acc = [low - t + (t << s) for low, t in zip([es[j], *acc], acc)] + acc[-1:]
+    cols = []
+    for k, r in enumerate(acc):
+        if not r:
+            cols.append(ZERO)
+            continue
+        z = ((r & -r).bit_length() - 1) // w  # the low zero digits
+        cs = _unpack(r >> z * w, nbytes)
+        for _ in range(d - k):
+            # r = (1 - q) p gives p's run as the prefix sums of r's, and a
+            # last prefix sum r(1) = 0
+            cs = list(accumulate(cs))
+            if cs.pop():
+                raise ExactnessError(
+                    "a Newton-Horner column is not divisible by 1 - q; internal invariant broken")
+        cols.append(_run(lo + z, cs, True) if scale == 1
+                    else _run(lo + z, [Fraction(c, scale) for c in cs]))
+    return tuple(cols)
+
+
+def _column_bound(norms: Sequence[int]) -> int:
+    """B = max_k 2^(d-k) sum_{j>=k} norms[j] C(j, k), d = len(norms) - 1.
+
+    With norms[j] the L1 norm of integer coordinate b_j, B bounds every
+    coefficient of the y-column r_k of `qbinom_columns`: r_k sums, over
+    j >= k, b_j times d-j factors 1 - q^i and C(j, k) products of j-k
+    factors q^l - 1, and every such factor has L1 norm at most 2.
+    """
+    d = len(norms) - 1
+    return max(
+        sum(norms[j] * comb(j, k) for j in range(k, d + 1)) << (d - k)
+        for k in range(d + 1)
+    )
+
+
+def _pack(run: Sequence[int], nbytes: int) -> int:
+    """sum_i run[i] 2^(w i), w = 8 nbytes, for |run[i]| < 2^(w-1).
+
+    The entries are joined as w-bit two's complement, so each negative one
+    reads 2^w too high; its top bit (the `_top_bits` mask) takes that off.
+    """
+    u = int.from_bytes(
+        b"".join([c.to_bytes(nbytes, "little", signed=True) for c in run]), "little")
+    return u - ((u & _top_bits(nbytes, len(run))) << 1)
+
+
+def _unpack(v: int, nbytes: int) -> list[int]:
+    """The base-2^w digits of v, w = 8 nbytes, when each lies in
+    [-2^(w-1), 2^(w-1)): the inverse of `_pack`, high zero digits allowed.
+
+    Adding the top bits lifts every digit into [0, 2^w) with no carry, and
+    flipping them back leaves each digit in w-bit two's complement.
+    """
+    n = abs(v).bit_length() // (8 * nbytes) + 1
+    top = _top_bits(nbytes, n)
+    raw = ((v + top) ^ top).to_bytes(n * nbytes, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+            for i in range(0, n * nbytes, nbytes)]
+
+
+def _top_bits(nbytes: int, n: int) -> int:
+    """2^(w-1) (1 + 2^w + ... + 2^(w(n-1))), w = 8 nbytes: the sign bits of
+    n digits."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
 
 
 def columns_over_qfactorial(cols: Sequence[QLaurent], d: int) -> XPoly:
@@ -505,9 +597,10 @@ def qfactorial_coprime(cols: Sequence[QLaurent], d: int) -> bool:
     return reduce_by_qfactorial(cols, d)[1] == q_factorial(d)
 
 
-# Multiplying by [j]_q = 1 + q + ... + q^(j-1) is a width-j sliding-window
-# sum over the coefficient run, O(len) rather than the O(len * j) schoolbook
-# product.
+# q_factorial multiplies by [j]_q = 1 + q + ... + q^(j-1) as a width-j
+# sliding-window sum over the coefficient run, O(len) rather than the
+# O(len * j) schoolbook product.  (qbinom_columns needs no [j]_q products:
+# it works on (1 - q)[j]_q = 1 - q^j.)
 
 
 def _qint_mul(p: QLaurent, j: int) -> QLaurent:
@@ -518,15 +611,6 @@ def _qint_mul(p: QLaurent, j: int) -> QLaurent:
     # s[i + j] - s[i] = a[i - j + 1] + ... + a[i], with a[<0] = 0
     s = pad + list(accumulate(chain(a, pad), initial=0))
     return _run(p.lo, list(map(sub, s[j:], s[: len(a) + j - 1])), p.ints)
-
-
-def _horner(cs: Sequence[QLaurent]) -> list[QLaurent]:
-    """x-columns of sum_j cs[j] (x - [0]_q)(x - [1]_q)...(x - [j-1]_q)."""
-    acc = [cs[-1]]
-    for j in range(len(cs) - 2, -1, -1):
-        # acc * (x - [j]_q) + cs[j]: column i is acc[i-1] - [j]_q acc[i]
-        acc = [low - _qint_mul(t, j) for low, t in zip([cs[j], *acc], acc)] + acc[-1:]
-    return acc
 
 
 # -- q-Stirling numbers -------------------------------------------------------

@@ -479,8 +479,9 @@ def lowest_terms(
     The returned den is a polynomial with a nonzero constant term, integer
     coefficients of content 1 and a positive leading coefficient, and no
     polynomial factor divides it and every returned column: monomials q^m go
-    to the columns, one gcd fold over den and every column (stopping at 1)
-    is divided out, and the rational content of den moves to the columns.
+    to the columns, one gcd fold over den and every column (stopping at 1,
+    and skipping the gcd for a column the running gcd divides) is divided
+    out, and the rational content of den moves to the columns.
     Equal fraction lists therefore have equal forms.  All-zero columns come
     back over 1; a zero den raises ZeroDivisionError.
     """
@@ -493,13 +494,22 @@ def lowest_terms(
         den = den.shifted(-v)
         nums = [c.shifted(-v) for c in nums]
     if den != _ONE:
-        g = den
+        # A column that the running gcd g divides leaves g as it is, so try
+        # that exact division first and run the remainder sequence only on a
+        # remainder.  While g is still den, the quotients are the columns.
+        g, quots = den, []
         for c in nums:
-            if c:
-                g = poly_gcd(g, c)
-                if g == _ONE:
-                    break
-        if g != _ONE:
+            quot = _divexact_dense(c.cs, g.cs) if c else ()
+            if quot is not None:
+                if quots is not None:
+                    quots.append(_run(c.lo, quot))
+                continue
+            g, quots = poly_gcd(g, c), None
+            if g == _ONE:
+                break
+        if quots is not None:
+            nums, den = quots, _ONE
+        elif g != _ONE:
             nums = [ql_divexact(c, g) for c in nums]
             den = ql_divexact(den, g)
         c = den.content()

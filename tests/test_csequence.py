@@ -263,6 +263,15 @@ def test_eval_qint_closed_form():
             assert c_eval_qint(n, k) == want
 
 
+def test_eval_qint_certifies_columns_beyond_the_benchmark_sizes():
+    # c_eval_qint checks sum_i cols[i] [k]_q^i = [n]_q! tilde_f(k+n, n) with the
+    # schoolbook product, on the packed kernel's columns at one n inside the
+    # range `conjecture --max-n 27` reads (n <= 26) and one beyond it.
+    for n in (16, 27):
+        for k in (0, 1, 2, n):
+            assert c_eval_qint(n, k) == tilde_f(k + n, n), (n, k)
+
+
 @pytest.mark.parametrize("part", ["column", "closed-form"])
 def test_eval_qint_cross_check_fires(monkeypatch, capsys, part):
     if part == "column":

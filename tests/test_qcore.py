@@ -20,6 +20,7 @@ from qballot.qlaurent import (
     poly_gcd,
     ql_divexact,
 )
+import qballot.qcore as qcore
 from qballot.qcore import (
     XPoly,
     cyclotomic,
@@ -31,7 +32,7 @@ from qballot.qcore import (
     q_int,
     q_stirling,
     qbinom_x,
-    _horner,
+    _column_bound,
     _qint_mul,
     qbinom_columns,
     qfactorial_coprime,
@@ -521,19 +522,70 @@ def test_qint_mul_dense_is_schoolbook(p, j):
     assert got.ints == all(type(c) is int for c in got.cs)
 
 
-@given(st.lists(dense_laurents, min_size=1, max_size=6))
+@given(st.lists(st.one_of(dense_laurents, st.just(ZERO)), min_size=1, max_size=7))
 @settings(max_examples=60, deadline=None)
-def test_horner_dense_is_schoolbook(cs):
-    # sum_j cs[j] (x - [0]_q)...(x - [j-1]_q), multiplied out column by column
-    want = [ZERO] * len(cs)
+def test_qbinom_columns_is_the_schoolbook_newton_sum(bs):
+    # sum_j bs[j] [j+1]_q...[d]_q (x - [0]_q)...(x - [j-1]_q), multiplied
+    # out column by column with the schoolbook product
+    d = len(bs) - 1
+    want = [ZERO] * len(bs)
     basis = [ONE]  # x-columns of (x - [0]_q)...(x - [j-1]_q)
-    for j, c in enumerate(cs):
-        for k, b in enumerate(basis):
-            want[k] = want[k] + c * b
+    for j, b in enumerate(bs):
+        for i in range(j + 1, d + 1):
+            b = b * q_int(i)
+        for k, e in enumerate(basis):
+            want[k] = want[k] + b * e
         basis = [
-            lower - q_int(j) * b for lower, b in zip([ZERO] + basis, basis + [ZERO])
+            lower - q_int(j) * e for lower, e in zip([ZERO] + basis, basis + [ZERO])
         ]
-    assert _horner(cs) == want
+    got = qbinom_columns(bs)
+    assert list(got) == want
+    for col in got:
+        assert col.ints == all(type(c) is int for c in col.cs)
+
+
+@pytest.mark.parametrize("c", [2**61 - 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_qbinom_columns_round_trip_a_wide_coordinate(c, sign):
+    # One coordinate is its own column, so the packing width must hold the
+    # coordinate's largest coefficient and its sign.
+    c *= sign
+    for b in (QLaurent({0: c}), QLaurent({-2: c, 0: -c, 3: c})):
+        assert qbinom_columns([b]) == (b,)
+    b = QLaurent({-1: c, 0: c})
+    assert qbinom_columns([ZERO, b]) == (ZERO, b)
+
+
+wide_int_laurents = st.builds(
+    lambda cs, lo: QLaurent(enumerate(cs, lo)),
+    st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=8),
+    st.integers(-4, 4),
+)
+
+
+@given(st.lists(st.one_of(wide_int_laurents, st.just(ZERO)), min_size=1, max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_column_bound_dominates_the_y_columns(bs):
+    # The kernel unpacks r_k = cols[k] (1 - q)^(d - k); the width is read off
+    # the bound, so every coefficient of r_k must lie within it.
+    d = len(bs) - 1
+    bound = _column_bound([sum(map(abs, b.cs)) for b in bs])
+    for k, col in enumerate(qbinom_columns(bs)):
+        r = col
+        for _ in range(d - k):
+            r = r * (ONE - Q)
+        assert all(abs(c) <= bound for c in r.cs), (k, r)
+
+
+@pytest.mark.parametrize("extra", [[1], [1, -1]])
+def test_qbinom_columns_rejects_a_run_1_minus_q_does_not_divide(monkeypatch, extra):
+    # Prepending [1] makes r_0(1) = 1, so the first pass fails; prepending
+    # [1, -1] adds 1 - q, so the first pass divides and the second fails.
+    unpack = qcore._unpack
+    monkeypatch.setattr(qcore, "_unpack", lambda v, nbytes: [*extra, *unpack(v, nbytes)])
+    bs = [ONE, ONE + Q, Q]
+    with pytest.raises(ExactnessError, match="not divisible by 1 - q"):
+        qbinom_columns(bs)
 
 
 @given(st.lists(st.dictionaries(
