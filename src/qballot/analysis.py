@@ -267,8 +267,14 @@ def newton_polytope(r: NumeratorReport) -> NewtonPolytope:
     """
     if not r.is_polynomial:
         raise ValueError("numerator did not clear its denominator; no polytope")
+    # the (e, k) pairs are distinct, so no set is needed to sort them
     pts = sorted(
-        {(e, k) for k, col in enumerate(r.numerator) for e, _ in col.items()}
+        [
+            (e, k)
+            for k, col in enumerate(r.numerator)
+            for e, c in enumerate(col.cs, col.lo)
+            if c
+        ]
     )
     if not pts:
         raise ValueError("zero polynomial has no polytope")

@@ -14,7 +14,12 @@ the code that writes ``--format json|csv`` or reads and writes ``--cache``.
 Of the package it loads only ``ballot``, ``qlaurent`` and ``report``, which
 is all that ``table``, ``ballot`` and ``catalan`` run; ``cx``, ``verify``,
 ``conjecture`` and ``polytope`` import ``csequence``, ``qcore`` and
-``analysis`` inside their cmd_* function.
+``analysis`` inside their cmd_* function.  A process runs ``run()``, which
+calls ``main()`` and then ``gc.freeze()`` before it exits: interpreter
+finalization would otherwise run full collections over every object the
+run left behind, the site-loaded modules and qballot's tables and columns,
+only for the process to end.  ``main()`` itself has no such side effect, so
+in-process callers keep a normal collector.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, 3 internal error (an exact division that theory
@@ -24,10 +29,11 @@ guarantees left a remainder, i.e. a bug in qballot, not in the input).
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .ballot import TABLE, ballot, qballot, qcatalan, tilde_qcatalan
 from .qlaurent import ExactnessError
@@ -336,5 +342,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry of ``python -m qballot.cli`` and ``qballot``.
+
+    The freeze moves every tracked object to the permanent generation, which
+    no collection scans; atexit hooks and the flush of stdout still run.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

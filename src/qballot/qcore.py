@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, starmap, zip_longest
+from itertools import accumulate, chain, count, starmap, zip_longest
 from math import comb, lcm
-from operator import add, sub
+from operator import add, lshift, sub
 from typing import Iterable, Sequence, Union
 
 from .qlaurent import (
@@ -558,7 +558,7 @@ def reduce_by_qfactorial(
         return cols, q_factorial(d)
     # The sieve divides the runs read from each column's lowest term.
     runs = [col.cs for *_, col in live]
-    vals2 = [sum(c << e for e, c in enumerate(run)) for run in runs]
+    vals2 = [sum(map(lshift, run, count())) for run in runs]
     full = den = q_factorial(d).cs
     for e in range(2, d + 1):
         phi2, phi = _cyclo_at2(e), cyclotomic(e).cs

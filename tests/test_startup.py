@@ -7,18 +7,27 @@ its --cache file needs them.  Of the package, a bare `import qballot` loads
 no module, and the CLI loads `analysis`, `csequence` and `qcore` only for the
 commands that run them.  The ops that do need them are run cold here too,
 and the conjecture sweep, split over forked children, loads no process-pool
-or pickling module.
+or pickling module.  A cold process enters through `run()`, which freezes the
+collector after `main()` so that interpreter finalization has nothing to scan;
+in-process callers of `main()` keep theirs.
 """
 
+import ast
 import contextlib
+import gc
 import io
 import json
 import subprocess
 import sys
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
+import qballot.cli as cli
 from qballot.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DEFERRED = {"dataclasses", "inspect", "json", "csv"}
 
@@ -141,3 +150,66 @@ def test_conjecture_sweep_imports_no_process_pool():
     assert "qballot.analysis" in names
     top = {name.split(".")[0] for name in names}
     assert top & {"multiprocessing", "concurrent", "pickle", "subprocess"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ballot", "--n", "6", "--k", "4"], 0),
+        (["ballot", "--n", "-1", "--k", "0"], 2),  # main() returns 2
+        (["ballot", "--n", "x", "--k", "0"], 2),  # argparse exits 2
+    ],
+    ids=["ok", "bad-value", "argparse"],
+)
+def test_cold_run_keeps_output_and_exit_code(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qballot.cli", *argv], capture_output=True, timeout=60
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+    assert got == proc.returncode == code
+    assert proc.stdout == out.getvalue().encode()
+    assert proc.stderr == err.getvalue().encode()
+
+
+def test_module_run_freezes_the_collector_before_exit():
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['qballot', 'ballot', '--n', '1', '--k', '1']\n"
+        "runpy.run_module('qballot.cli', run_name='__main__')\n"
+    )
+    proc = _run("-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "f(1,1|q) = q\nf(1,1) = 1\nfrozen True\n"
+
+
+def test_in_process_main_leaves_the_collector_alone():
+    assert _in_process(["conjecture", "--max-n", "4"])[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+def _main_block_callee() -> str:
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    (stmt,) = block.body
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+    return stmt.value.func.id
+
+
+def test_installed_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["qballot"]
+    module, name = target.split(":")
+    entry = getattr(import_module(module), name)
+    assert entry is getattr(cli, _main_block_callee())
+    assert entry is not main  # main() stays free of the exit-time freeze
