@@ -117,10 +117,14 @@ def numerator(n: int, c: XPoly) -> NumeratorReport:
 
 def theorem1_numerator(n: int) -> NumeratorReport:
     """The report on P_n read straight off the Theorem 1 columns of
-    [n-1]_q! C_n(x|q), with no reduction to C_n and no multiplying back."""
+    [n-1]_q! C_n(x|q), with no reduction to C_n and no multiplying back.
+
+    The columns are computed past the cache of `theorem1_columns`, so a
+    sweep holds one column set at a time."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _numerator_report(n, theorem1_columns(n - 1), q_factorial(n - 1), True)
+    cols = theorem1_columns.__wrapped__(n - 1)
+    return _numerator_report(n, cols, q_factorial(n - 1), True)
 
 
 def _numerator_report(
@@ -157,13 +161,12 @@ def _conjecture_rows(ns: list[int]) -> list[tuple]:
 
     The n are split over one process per available CPU.  Sorted largest
     first, they are dealt round-robin; this process keeps the first share,
-    so its ballot table ends as large as a serial run's, and each forked
-    child sends its rows back through a pipe as marshal data.  Any fault (an
-    error here, a child that exits nonzero, or rows whose n are not the
-    child's share) kills and reaps every child, then reruns every n here,
-    so the output, or the first error raised, is the serial run's.  With
-    one CPU, no os.fork, or a second live thread (a child could inherit
-    one of its locks held), the sweep runs serially.
+    and each forked child sends its rows back through a pipe as marshal
+    data.  Any fault (an error here, a child that exits nonzero, or rows
+    whose n are not the child's share) kills and reaps every child, then
+    reruns every n here, so the output, or the first error raised, is the
+    serial run's.  With one CPU, no os.fork, or a second live thread (a
+    child could inherit one of its locks held), the sweep runs serially.
     """
     import marshal
     import os

@@ -23,7 +23,8 @@ in-process callers keep a normal collector.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, 3 internal error (an exact division that theory
-guarantees left a remainder, i.e. a bug in qballot, not in the input).
+guarantees left a remainder, i.e. a bug in qballot, not in the input), 4
+out of memory (the run needs more memory than the process may take).
 """
 
 from __future__ import annotations
@@ -340,6 +341,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"qballot: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("qballot: out of memory; try a smaller n", file=sys.stderr)
+        return 4
 
 
 def run() -> NoReturn:

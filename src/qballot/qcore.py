@@ -420,15 +420,10 @@ def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
     so Laurent inputs give Laurent columns.  Column k is the coefficient of
     x^k.
 
-    The sum is computed times (1-q)^d in y = (1-q)x.  There (1-q)[i]_q =
-    1 - q^i and (1-q)(x - [l]_q) = y - (1 - q^l), so on the runs packed as
-    integers at q = 2^w every factor is one shift and one subtract.  The
-    y-columns r_k = cols[k] (1-q)^(d-k) are the only values unpacked: w
-    holds `_column_bound`, a sign bit and a spare bit, rounded up to whole
-    bytes, so their signed digits are exact (q -> 2^w is a ring map, so no
-    intermediate value needs to fit).  Each column is r_k divided d-k times
-    by 1-q.  Fraction inputs are scaled to integers by the lcm of their
-    denominators and divided back at the end.
+    Each b_j is packed as one integer at q = 2^w, at its offset from the
+    lowest exponent, with the width `column_bytes` gives, and the packed
+    values go to `newton_horner`.  Fraction inputs are scaled to integers
+    by the lcm of their denominators and divided back at the end.
     """
     d = len(bs) - 1
     live = [b for b in bs if b]
@@ -438,16 +433,36 @@ def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
     scale = lcm(*(c.denominator for b in live if not b.ints for c in b.cs))
     runs = [b.cs if scale == 1 else [c.numerator * (scale // c.denominator) for c in b.cs]
             for b in bs]
-    nbytes = (_column_bound([sum(map(abs, run)) for run in runs]).bit_length() + 9) // 8
+    nbytes = column_bytes([sum(map(abs, run)) for run in runs])
     w = 8 * nbytes
-    # e_j = b_j (1 - q^(j+1))...(1 - q^d), each b_j packed at its offset from lo
+    cols = newton_horner(
+        [_pack(run, nbytes) << (b.lo - lo) * w if b else 0 for b, run in zip(bs, runs)],
+        lo, nbytes)
+    if scale == 1:
+        return cols
+    return tuple(_run(c.lo, [Fraction(v, scale) for v in c.cs]) for c in cols)
+
+
+def newton_horner(vs: Sequence[int], lo: int, nbytes: int) -> tuple[QLaurent, ...]:
+    """The integer x-columns of [d]_q! * sum_j b_j {x choose j}_q, d =
+    len(vs) - 1, from vs[j] = b_j q^-lo packed at q = 2^w, w = 8 nbytes.
+
+    The sum is computed times (1-q)^d in y = (1-q)x.  There (1-q)[i]_q =
+    1 - q^i and (1-q)(x - [l]_q) = y - (1 - q^l), so on packed integers
+    every factor is one shift and one subtract.  The y-columns r_k =
+    cols[k] (1-q)^(d-k) are the only values unpacked, so w must hold
+    `_column_bound` of the b_j and a sign bit (`column_bytes`); then their
+    signed digits are exact.  q -> 2^w is a ring map, so no other value
+    needs to fit, the packed b_j included.  Each column is r_k divided d-k
+    times by 1-q.
+    """
+    d = len(vs) - 1
+    w = 8 * nbytes
+    # e_j = b_j (1 - q^(j+1))...(1 - q^d)
     es = []
-    for j, (b, run) in enumerate(zip(bs, runs)):
-        v = 0
-        if b:
-            v = _pack(run, nbytes) << (b.lo - lo) * w
-            for i in range(j + 1, d + 1):
-                v -= v << i * w
+    for j, v in enumerate(vs):
+        for i in range(j + 1, d + 1):
+            v -= v << i * w
         es.append(v)
     # Horner in y: acc * (y - (1 - q^j)) + e_j; y-column i is
     # acc[i-1] - (1 - q^j) acc[i]
@@ -469,9 +484,14 @@ def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
             if cs.pop():
                 raise ExactnessError(
                     "a Newton-Horner column is not divisible by 1 - q; internal invariant broken")
-        cols.append(_run(lo + z, cs, True) if scale == 1
-                    else _run(lo + z, [Fraction(c, scale) for c in cs]))
+        cols.append(_run(lo + z, cs, True))
     return tuple(cols)
+
+
+def column_bytes(norms: Sequence[int]) -> int:
+    """The bytes per digit for `newton_horner` on coordinates whose L1 norms
+    are norms: `_column_bound`, a sign bit and a spare bit, rounded up."""
+    return (_column_bound(norms).bit_length() + 9) // 8
 
 
 def _column_bound(norms: Sequence[int]) -> int:

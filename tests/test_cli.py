@@ -441,8 +441,8 @@ def test_failed_fork_gives_the_serial_output(monkeypatch, sweep_cpus, capsys):
 
 
 def test_split_sweep_writes_the_serial_cache(tmp_path):
-    # Cold processes, so the ballot table starts empty: the parent keeps
-    # the largest n, and so fills the table a serial run fills.
+    # Cold processes, so the ballot table starts empty.  The sweep's columns
+    # come from their own packed pass, so both runs save it empty.
     def cold(cpus, cache):
         code = (
             "import os, sys\n"
@@ -456,7 +456,9 @@ def test_split_sweep_writes_the_serial_cache(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
         return proc.stdout, cache.read_bytes()
 
-    assert cold(3, tmp_path / "split.json") == cold(1, tmp_path / "serial.json")
+    split = cold(3, tmp_path / "split.json")
+    assert split == cold(1, tmp_path / "serial.json")
+    assert json.loads(split[1])["entries"] == {}
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from qballot.qcore import (
     q1_specialize,
     q_factorial,
     q_int,
+    qbinom_columns,
     subst_affine,
     to_qbinom_basis,
 )
@@ -272,6 +273,20 @@ def test_eval_qint_certifies_columns_beyond_the_benchmark_sizes():
             assert c_eval_qint(n, k) == tilde_f(k + n, n), (n, k)
 
 
+@pytest.mark.parametrize("d", [*range(31), 37, 45])
+def test_packed_theorem1_columns_equal_the_coordinate_route(d):
+    # The rolling pass over packed tilde_f rows against the ballot table's
+    # coordinates packed by qbinom_columns: the same runs, offsets and flags.
+    got = theorem1_columns.__wrapped__(d)
+    want = qbinom_columns(theorem1_qbinom_coeffs(d))
+    assert [(c.lo, c.cs, c.ints) for c in got] == [(c.lo, c.cs, c.ints) for c in want]
+
+
+def test_theorem1_columns_rejects_a_negative_n():
+    with pytest.raises(ValueError):
+        theorem1_columns(-1)
+
+
 @pytest.mark.parametrize("part", ["column", "closed-form"])
 def test_eval_qint_cross_check_fires(monkeypatch, capsys, part):
     if part == "column":
@@ -279,9 +294,7 @@ def test_eval_qint_cross_check_fires(monkeypatch, capsys, part):
         monkeypatch.setattr(
             csequence, "theorem1_columns", lambda n: (true_columns(n)[0] + Q, *true_columns(n)[1:])
         )
-    else:
-        for n in range(4):  # the columns are built, and kept, from the true table
-            theorem1_columns(n)
+    else:  # the columns come from their own packed pass, which reads no tilde_f
         monkeypatch.setattr(csequence, "tilde_f", lambda m, n: tilde_f(m, n).shifted(1))
     with pytest.raises(ExactnessError, match="n=2, k=1"):
         c_eval_qint(2, 1)

@@ -9,7 +9,9 @@ commands that run them.  The ops that do need them are run cold here too,
 and the conjecture sweep, split over forked children, loads no process-pool
 or pickling module.  A cold process enters through `run()`, which freezes the
 collector after `main()` so that interpreter finalization has nothing to scan;
-in-process callers of `main()` keep theirs.
+in-process callers of `main()` keep theirs.  A cold `conjecture` or `polytope`
+fills no ballot table, and a cold run that runs out of memory exits 4 with
+one line on stderr.
 """
 
 import ast
@@ -213,3 +215,38 @@ def test_installed_script_is_the_module_entry():
     entry = getattr(import_module(module), name)
     assert entry is getattr(cli, _main_block_callee())
     assert entry is not main  # main() stays free of the exit-time freeze
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["conjecture", "--max-n", "12"], ["polytope", "--n", "12"]],
+    ids=lambda argv: argv[0],
+)
+def test_sweep_and_polytope_fill_no_ballot_table(argv):
+    # One CPU, so the sweep runs every n in this process.
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "from qballot.ballot import TABLE\n"
+        "from qballot.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(len(TABLE.known()), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = _run("-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "0\n")
+    assert proc.stdout
+
+
+def test_out_of_memory_exits_4_with_one_line():
+    resource = pytest.importorskip("resource")
+
+    def limit():  # runs in the child only, never in this process
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qballot.cli", "ballot", "--n", "3000", "--k", "1500"],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.splitlines() == ["qballot: out of memory; try a smaller n"]
