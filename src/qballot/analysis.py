@@ -14,9 +14,8 @@ CLI-addressable verification suites; their names are ``report.SUITES``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .ballot import (
     path_cap,
@@ -61,6 +60,9 @@ from .qlaurent import (
     ql_divexact,
 )
 from .report import SUITES, CheckResult, SuiteReport
+
+if TYPE_CHECKING:  # annotations only: importing fractions loads decimal
+    from fractions import Fraction
 
 # -- numerator reports --------------------------------------------------------
 
@@ -268,6 +270,8 @@ def newton_polytope(r: NumeratorReport) -> NewtonPolytope:
     has an upper hull edge of constant x-exponent (the one column 1 + q,
     say), since such an edge has no slope dq/dx.
     """
+    from fractions import Fraction
+
     if not r.is_polynomial:
         raise ValueError("numerator did not clear its denominator; no polytope")
     # the (e, k) pairs are distinct, so no set is needed to sort them
@@ -316,6 +320,8 @@ def newton_polytope(r: NumeratorReport) -> NewtonPolytope:
 
 def expected_upper_slopes(n: int) -> tuple[Fraction, ...]:
     """The observed slope pattern for P_n: odd integers 1, 3, ..., 2n-3."""
+    from fractions import Fraction
+
     return tuple(Fraction(2 * i + 1) for i in range(n - 1))
 
 
@@ -445,7 +451,7 @@ def _suite_prop2(maxn: int) -> SuiteReport:
         for m in range(6):
             rep.expect(
                 "q1-binomial-points", n + 1, m,
-                closed.eval(QRatFunc(m)), QRatFunc(c_q1_at_int(n, m)),
+                closed.eval(QRatFunc(m)), c_q1_at_int(n, m),
                 ("poly", "binomial"),
             )
     return rep

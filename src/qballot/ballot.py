@@ -27,11 +27,10 @@ from __future__ import annotations
 import os
 import re
 import threading
-from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .qlaurent import ONE, ZERO, BigRat, ExactnessError, QLaurent, _raw
+from .qlaurent import ONE, ZERO, ExactnessError, QLaurent, _raw
 
 DEFAULT_PATH_CAP = 26
 
@@ -50,13 +49,13 @@ def path_cap() -> int:
     return cap
 
 
-def ballot(n: int, k: int) -> BigRat:
-    """The ballot number (n-k+1)/(n+1) * C(n+k, k); an integer for 0 <= k <= n."""
+def ballot(n: int, k: int) -> int:
+    """The ballot number (n-k+1)/(n+1) * C(n+k, k), an integer; 0 for k > n."""
     if n < 0 or k < 0:
         raise ValueError("ballot needs n, k >= 0")
     if k > n:
-        return Fraction(0)
-    return Fraction((n - k + 1) * comb(n + k, k), n + 1)
+        return 0
+    return (n - k + 1) * comb(n + k, k) // (n + 1)
 
 
 # A row f(n, k | q), k <= n, is stored as its QLaurent: the dense run of
@@ -158,7 +157,7 @@ class BallotTable:
                 # numbers instead of holding a second copy while loading.
                 if lo != want.lo or cs != list(want.cs):
                     raise ValueError(f"entry '{n},{k}' breaks the ballot recurrence")
-                proven[(n, k)] = _raw(lo, tuple(cs), True)
+                proven[(n, k)] = _raw(lo, tuple(cs))
             for (n, k), row in proven.items():
                 if sum(row.cs) != ballot(n, k):
                     raise ValueError(f"entry '{n},{k}' does not count ballot({n},{k}) paths")

@@ -14,7 +14,10 @@ the code that writes ``--format json|csv`` or reads and writes ``--cache``.
 Of the package it loads only ``ballot``, ``qlaurent`` and ``report``, which
 is all that ``table``, ``ballot`` and ``catalan`` run; ``cx``, ``verify``,
 ``conjecture`` and ``polytope`` import ``csequence``, ``qcore`` and
-``analysis`` inside their cmd_* function.  A process runs ``run()``, which
+``analysis`` inside their cmd_* function.  Coefficients are ints, and only
+the functions that return a Fraction import ``fractions`` (which loads
+``decimal`` and ``numbers``), so only ``polytope`` and ``verify polytope``
+load it, for the hull slopes.  A process runs ``run()``, which
 calls ``main()`` and then ``gc.freeze()`` before it exits: interpreter
 finalization would otherwise run full collections over every object the
 run left behind, the site-loaded modules and qballot's tables and columns,
@@ -65,7 +68,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
     if maxn < 0:
         raise ValueError("--max-n must be >= 0")
     if args.which == 1:
-        entries = [[int(ballot(n, k)) for k in range(n + 1)] for n in range(maxn + 1)]
+        entries = [[ballot(n, k) for k in range(n + 1)] for n in range(maxn + 1)]
     else:
         entries = [[str(qballot(n, k)) for k in range(n + 1)] for n in range(maxn + 1)]
     if args.format == "json":
@@ -94,7 +97,7 @@ def cmd_ballot(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 0 or args.k < 0:
         raise ValueError("--n and --k must be >= 0")
     poly = qballot(args.n, args.k)
-    plain = int(ballot(args.n, args.k))
+    plain = ballot(args.n, args.k)
     if args.format == "json":
         text = _json_text(
             {

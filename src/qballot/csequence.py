@@ -21,7 +21,6 @@ C_n(qx+1|q) round out the module.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 from typing import Iterator, Sequence
@@ -208,7 +207,7 @@ def theorem1_columns(n: int) -> tuple[QLaurent, ...]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    nbytes = column_bytes([int(ballot(n + j, n - j)) for j in range(n + 1)])
+    nbytes = column_bytes([ballot(n + j, n - j) for j in range(n + 1)])
     w = 8 * nbytes
     row: list[int] = []
     bs = []
@@ -280,8 +279,8 @@ def c_eval_qint(n: int, k: int) -> QLaurent:
 
 
 def c_q1(n: int) -> XPoly:
-    """C_{n+1}(x|1) = (x+1)(x+n+2)(x+n+3)...(x+2n) / n! over plain
-    rationals (returned with constant coefficients)."""
+    """C_{n+1}(x|1) = (x+1)(x+n+2)(x+n+3)...(x+2n) / n!: integer columns
+    over the integer denominator n! (reduced)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
@@ -289,22 +288,23 @@ def c_q1(n: int) -> XPoly:
     poly = XPoly([1, 1])
     for i in range(n + 2, 2 * n + 1):
         poly = poly * XPoly([i, 1])
-    return poly * QRatFunc(Fraction(1, factorial(n)))
+    return poly * QRatFunc(1, factorial(n))
 
 
-def c_q1_at_int(n: int, m: int) -> Fraction:
-    """The binomial form of C_{n+1}(m|1): (m+1)/(m+1+n) * C(m+2n, n)."""
+def c_q1_at_int(n: int, m: int) -> QRatFunc:
+    """The binomial form of C_{n+1}(m|1): (m+1)/(m+1+n) * C(m+2n, n), an
+    integer over an integer."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
-    return Fraction(m + 1, m + 1 + n) * comb(m + 2 * n, n)
+    return QRatFunc((m + 1) * comb(m + 2 * n, n), m + 1 + n)
 
 
 def _binoms_x(m: int) -> list[XPoly]:
-    """The plain binomials x(x-1)...(x-j+1)/j!, j = 0..m, over plain
-    rationals: each is the one before it times (x-j+1)/j."""
+    """The plain binomials x(x-1)...(x-j+1)/j!, j = 0..m, as integer columns
+    over j!: each is the one before it times (x-j+1)/j."""
     out = [XPoly.const(RF_ONE)]
     for j in range(m):
-        out.append(out[-1] * XPoly([-j, 1]) * QRatFunc(Fraction(1, j + 1)))
+        out.append(out[-1] * XPoly([-j, 1]) * QRatFunc(1, j + 1))
     return out
 
 
@@ -318,13 +318,13 @@ def q1_identity_reports(maxn: int) -> SuiteReport:
         lhs_c = c_q1(n)
         rhs_c = XPoly.zero()
         for j in range(n + 1):
-            w = QRatFunc(Fraction(2 * j + 1, n + j + 1) * comb(2 * n, n - j))
+            w = QRatFunc((2 * j + 1) * comb(2 * n, n - j), n + j + 1)
             rhs_c = rhs_c + binom_x[j] * w
         rep.expect("q1-interpolation", n, None, lhs_c, rhs_c)
         lhs_d = subst_affine(c_q1(n - 1), RF_ONE, RF_ONE)
         rhs_d = XPoly.zero()
         for j in range(n):
-            w = QRatFunc(Fraction(2 * j + 2, n + j + 1) * comb(2 * n - 1, n - j - 1))
+            w = QRatFunc((2 * j + 2) * comb(2 * n - 1, n - j - 1), n + j + 1)
             rhs_d = rhs_d + binom_x[j] * w
         rep.expect("q1-shifted", n, None, lhs_d, rhs_d)
     return rep

@@ -21,10 +21,9 @@ Two distinct q-binomial families live here and must not be confused:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, count, starmap, zip_longest
-from math import comb, lcm
+from itertools import accumulate, chain, count, repeat, starmap, zip_longest
+from math import comb, gcd
 from operator import add, lshift, sub
 from typing import Iterable, Sequence, Union
 
@@ -44,7 +43,9 @@ from .qlaurent import (
     ql_divexact,
 )
 
-ScalarLike = Union[int, Fraction, QLaurent, QRatFunc]
+# A rational number is a QRatFunc over an integer denominator; a
+# fractions.Fraction is accepted wherever a scalar is and converted to one.
+ScalarLike = Union[int, QLaurent, QRatFunc]
 
 
 # -- q-integers, factorials, binomials ----------------------------------------
@@ -97,7 +98,7 @@ def cyclotomic(d: int) -> QLaurent:
 
 @cache
 def _cyclo_at2(d: int) -> int:
-    return int(cyclotomic(d).eval_at(2))
+    return cyclotomic(d).eval_at(2)
 
 
 # -- polynomials in x over Q(q) -----------------------------------------------
@@ -309,13 +310,14 @@ def qbinom_x(k: int) -> XPoly:
 def _clear_denominators(cs: Sequence[QRatFunc]) -> tuple[list[QLaurent], QLaurent]:
     """Write cs[k] = nums[k] / den with every nums[k] Laurent and one shared den.
 
-    den is the lcm of the reduced denominators, so the result is already in
-    lowest shared terms (`qlaurent.lowest_terms`).
+    den is the lcm in Z[q] of the reduced denominators, integer content
+    included, so the result is already in lowest shared terms
+    (`qlaurent.lowest_terms`).
     """
     den = ONE
     for c in cs:
         if c.den != ONE and c.den != den:
-            g = poly_gcd(den, c.den)
+            g = poly_gcd(den, c.den) * gcd(den.content(), c.den.content())
             den = den * ql_divexact(c.den, g)
     nums = []
     for c in cs:
@@ -359,7 +361,7 @@ def subst_affine(f: XPoly, a: ScalarLike, b: ScalarLike) -> XPoly:
 
 
 def _hahn_laurent(cs: Sequence[QLaurent]) -> list[QLaurent]:
-    """One Hahn step on a dense x-coefficient list over Q[q, q^-1]."""
+    """One Hahn step on a dense x-coefficient list over Z[q, q^-1]."""
     d = len(cs) - 1
     num = [s - c for s, c in zip(_subst_laurent(cs, Q, ONE), cs)]
     # Divide from the constant term up: the divisor 1 + (q-1)x is a unit
@@ -422,25 +424,17 @@ def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
 
     Each b_j is packed as one integer at q = 2^w, at its offset from the
     lowest exponent, with the width `column_bytes` gives, and the packed
-    values go to `newton_horner`.  Fraction inputs are scaled to integers
-    by the lcm of their denominators and divided back at the end.
+    values go to `newton_horner`.
     """
     d = len(bs) - 1
     live = [b for b in bs if b]
     if not live:
         return (ZERO,) * (d + 1)
     lo = min(b.lo for b in live)
-    scale = lcm(*(c.denominator for b in live if not b.ints for c in b.cs))
-    runs = [b.cs if scale == 1 else [c.numerator * (scale // c.denominator) for c in b.cs]
-            for b in bs]
-    nbytes = column_bytes([sum(map(abs, run)) for run in runs])
+    nbytes = column_bytes([sum(map(abs, b.cs)) for b in bs])
     w = 8 * nbytes
-    cols = newton_horner(
-        [_pack(run, nbytes) << (b.lo - lo) * w if b else 0 for b, run in zip(bs, runs)],
-        lo, nbytes)
-    if scale == 1:
-        return cols
-    return tuple(_run(c.lo, [Fraction(v, scale) for v in c.cs]) for c in cols)
+    return newton_horner(
+        [_pack(b.cs, nbytes) << (b.lo - lo) * w if b else 0 for b in bs], lo, nbytes)
 
 
 def newton_horner(vs: Sequence[int], lo: int, nbytes: int) -> tuple[QLaurent, ...]:
@@ -484,7 +478,7 @@ def newton_horner(vs: Sequence[int], lo: int, nbytes: int) -> tuple[QLaurent, ..
             if cs.pop():
                 raise ExactnessError(
                     "a Newton-Horner column is not divisible by 1 - q; internal invariant broken")
-        cols.append(_run(lo + z, cs, True))
+        cols.append(_run(lo + z, cs))
     return tuple(cols)
 
 
@@ -524,14 +518,18 @@ def _unpack(v: int, nbytes: int) -> list[int]:
     """The base-2^w digits of v, w = 8 nbytes, when each lies in
     [-2^(w-1), 2^(w-1)): the inverse of `_pack`, high zero digits allowed.
 
-    Adding the top bits lifts every digit into [0, 2^w) with no carry, and
-    flipping them back leaves each digit in w-bit two's complement.
+    Adding the top bits lifts every digit by 2^(w-1) into [0, 2^w) with no
+    carry; each is read unsigned and lowered back.  n covers every digit: if
+    v has m, the lower ones take at most 2^(w-1)/(2^w-1) < 3/4 of the top
+    one's weight 2^(w(m-1)) off |v|, so its bit length is at least
+    w(m-1) - 1.
     """
-    n = abs(v).bit_length() // (8 * nbytes) + 1
-    top = _top_bits(nbytes, n)
-    raw = ((v + top) ^ top).to_bytes(n * nbytes, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
-            for i in range(0, n * nbytes, nbytes)]
+    w = 8 * nbytes
+    n = (abs(v).bit_length() + 1) // w + 1
+    raw = (v + _top_bits(nbytes, n)).to_bytes(n * nbytes, "little")
+    read = int.from_bytes
+    lifted = [read(raw[i:i + nbytes], "little") for i in range(0, n * nbytes, nbytes)]
+    return list(map(sub, lifted, repeat(1 << (w - 1))))
 
 
 def _top_bits(nbytes: int, n: int) -> int:
@@ -561,23 +559,16 @@ def reduce_by_qfactorial(
     is irreducible over Q, so dividing out every Phi_e that divides every
     column, up to its power in [d]_q!, yields exactly the lowest terms.  An
     integer evaluation at q = 2 filters hopeless division attempts cheaply.
-    A column with a non-integer coefficient is sieved by its primitive
-    part: Phi_e is primitive, so by Gauss's lemma it divides a polynomial
-    in Q[q] iff it divides the primitive part.  A set with no nonzero
-    column has nothing to divide and comes back over [d]_q!.
+    Phi_e is primitive, so by Gauss's lemma it divides an integer column in
+    Z[q] iff it does in Q[q].  A set with no nonzero column has nothing to
+    divide and comes back over [d]_q!.
     """
     cols = tuple(cols)
-    live = []  # (index, scale, integer column)
-    for i, col in enumerate(cols):
-        if col:
-            scale = 1
-            if not col.ints:
-                scale, col = col.content(), col.primitive()
-            live.append((i, scale, col))
+    live = [(i, col) for i, col in enumerate(cols) if col]
     if not live:
         return cols, q_factorial(d)
     # The sieve divides the runs read from each column's lowest term.
-    runs = [col.cs for *_, col in live]
+    runs = [col.cs for _, col in live]
     vals2 = [sum(map(lshift, run, count())) for run in runs]
     full = den = q_factorial(d).cs
     for e in range(2, d + 1):
@@ -593,9 +584,9 @@ def reduce_by_qfactorial(
     if den is full:  # nothing divided out
         return cols, q_factorial(d)
     out = list(cols)
-    for (i, scale, col), run in zip(live, runs):
-        out[i] = _run(col.lo, [c * scale for c in run], scale == 1)
-    return tuple(out), _run(0, den, True)
+    for (i, col), run in zip(live, runs):
+        out[i] = _run(col.lo, run)
+    return tuple(out), _run(0, den)
 
 
 def _divexact_all(runs: list[Sequence[int]], b: Sequence[int]) -> list[list] | None:
@@ -630,7 +621,7 @@ def _qint_mul(p: QLaurent, j: int) -> QLaurent:
     a, pad = p.cs, [0] * (j - 1)
     # s[i + j] - s[i] = a[i - j + 1] + ... + a[i], with a[<0] = 0
     s = pad + list(accumulate(chain(a, pad), initial=0))
-    return _run(p.lo, list(map(sub, s[j:], s[: len(a) + j - 1])), p.ints)
+    return _run(p.lo, list(map(sub, s[j:], s[: len(a) + j - 1])))
 
 
 # -- q-Stirling numbers -------------------------------------------------------
@@ -654,10 +645,11 @@ def q_stirling(n: int, k: int) -> QLaurent:
 def q1_specialize(f: XPoly) -> XPoly:
     """The polynomial over Q obtained by evaluating every coefficient at q = 1.
 
+    A Laurent polynomial's value at q = 1 is the sum of its coefficients.
     den is the lcm of the coefficients' denominators, so it vanishes at
     q = 1 iff some coefficient has a pole there (ZeroDivisionError).
     """
-    d1 = f.den.eval_at(1)
+    d1 = sum(f.den.cs)
     if d1 == 0:
         raise ZeroDivisionError("denominator vanishes at q=1")
-    return XPoly([c.eval_at(1) / d1 for c in f.nums])
+    return XPoly([QRatFunc(sum(c.cs), d1) for c in f.nums])

@@ -1,9 +1,11 @@
 """Exact arithmetic in q: Laurent polynomials and reduced rational functions.
 
-Everything downstream reduces to identities between elements of Q[q, q^-1]
+Everything downstream reduces to identities between elements of Z[q, q^-1]
 or its fraction field, so this module is deliberately exact: coefficients
-are arbitrary-precision rationals (`fractions.Fraction`, collapsed to plain
-`int` whenever integral) and no floating point ever enters.
+are Python ints and no floating point ever enters.  A rational number is an
+integer polynomial over an integer denominator, as `QRatFunc(1, 2)`; a
+`QLaurent` refuses a non-int coefficient, a `fractions.Fraction` included,
+with TypeError.
 
 Representation invariants:
 
@@ -15,8 +17,9 @@ Representation invariants:
   (ballot rows, [d]_q!, the Theorem 1 columns are all dense); the only
   gapped ones it builds are monomials and q^d - 1 inside `cyclotomic`.
 * `QRatFunc` stores a pair num/den of `QLaurent` with den a polynomial
-  (no negative exponents), content 1, positive leading coefficient, and no
-  common polynomial factor with num.  Monomial factors q^m are kept in the
+  (no negative exponents) with a positive leading coefficient and no common
+  factor with num: no polynomial factor, and no integer one (the gcd of all
+  their coefficients is 1).  Monomial factors q^m are kept in the
   numerator, so the denominator always has a nonzero constant term.  That
   form is `lowest_terms` with one column; `qcore.XPoly` keeps its columns
   over one shared denominator in the same form.
@@ -27,50 +30,44 @@ sound because construction always canonicalizes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import gcd as _int_gcd
 from operator import add, mul, neg, sub
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
-BigRat = Fraction
-
-CoeffLike = Union[int, Fraction]
+if TYPE_CHECKING:  # annotations only: importing fractions loads decimal
+    from fractions import Fraction
 
 
 class ExactnessError(ArithmeticError):
     """A division that theory guarantees to be exact left a remainder."""
 
 
-def _as_coeff(c: CoeffLike) -> CoeffLike:
-    # Keep integral values as plain ints: int arithmetic is several times
-    # faster than Fraction and the two hash/compare identically.
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
+def _int_coeff(c: object) -> int:
+    # An int subclass (bool, say) is stored as a plain int.
     if isinstance(c, int):
         return int(c)
-    raise TypeError(f"not an exact rational: {c!r}")
+    raise TypeError(f"QLaurent coefficients are ints, got {c!r}; a rational "
+                    "scalar is a QRatFunc over an integer denominator")
 
 
 class QLaurent:
-    """A Laurent polynomial in q with exact rational coefficients.
+    """A Laurent polynomial in q with integer coefficients.
 
-    `cs[i]` is the coefficient of q^(lo + i): a tuple with nonzero first and
-    last entries, and zero is the empty run at lo = 0.  `ints` records that
-    every coefficient is an int, so integer arithmetic skips the Fraction
-    collapse.  All three are read-only.
+    `cs[i]` is the coefficient of q^(lo + i): a tuple of ints with nonzero
+    first and last entries, and zero is the empty run at lo = 0.  Both are
+    read-only.
     """
 
-    __slots__ = ("lo", "cs", "ints")
+    __slots__ = ("lo", "cs")
 
-    def __init__(self, terms: Union[Mapping[int, CoeffLike], Iterable[tuple[int, CoeffLike]], None] = None):
-        data: dict[int, CoeffLike] = {}
+    def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]], None] = None):
+        data: dict[int, int] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for e, c in items:
-                c = _as_coeff(c)
+                if type(c) is not int:
+                    c = _int_coeff(c)
                 if c:
                     data[e] = data.get(e, 0) + c
         lo = min(data, default=0)
@@ -78,7 +75,7 @@ class QLaurent:
         for e, c in data.items():
             cs[e - lo] = c
         p = _run(lo, cs)
-        self.lo, self.cs, self.ints = p.lo, p.cs, p.ints
+        self.lo, self.cs = p.lo, p.cs
 
     # -- construction helpers -------------------------------------------------
 
@@ -91,9 +88,9 @@ class QLaurent:
         return _ONE
 
     @classmethod
-    def monomial(cls, exp: int, coeff: CoeffLike = 1) -> "QLaurent":
-        c = _as_coeff(coeff)
-        return _raw(int(exp), (c,), type(c) is int) if c else _ZERO
+    def monomial(cls, exp: int, coeff: int = 1) -> "QLaurent":
+        c = _int_coeff(coeff)
+        return _raw(int(exp), (c,)) if c else _ZERO
 
     # -- basic queries --------------------------------------------------------
 
@@ -121,14 +118,14 @@ class QLaurent:
         """True when no negative exponent occurs (the zero poly included)."""
         return self.lo >= 0
 
-    def coeff(self, exp: int) -> CoeffLike:
+    def coeff(self, exp: int) -> int:
         i = exp - self.lo
         return self.cs[i] if 0 <= i < len(self.cs) else 0
 
-    def items(self) -> tuple[tuple[int, CoeffLike], ...]:
+    def items(self) -> tuple[tuple[int, int], ...]:
         return tuple((e, c) for e, c in enumerate(self.cs, self.lo) if c)
 
-    def __iter__(self) -> Iterator[tuple[int, CoeffLike]]:
+    def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.items())
 
     def __len__(self) -> int:
@@ -136,7 +133,7 @@ class QLaurent:
         return len(self.cs) - self.cs.count(0)
 
     @property
-    def leading_coeff(self) -> CoeffLike:
+    def leading_coeff(self) -> int:
         return self.coeff(self.max_exp)
 
     # -- arithmetic -----------------------------------------------------------
@@ -150,7 +147,7 @@ class QLaurent:
     __radd__ = __add__
 
     def __neg__(self) -> "QLaurent":
-        return _raw(self.lo, tuple(map(neg, self.cs)), self.ints)
+        return _raw(self.lo, tuple(map(neg, self.cs)))
 
     def __sub__(self, other: object) -> "QLaurent":
         other = _coerce_laurent(other)
@@ -170,24 +167,22 @@ class QLaurent:
             return NotImplemented
         if not self.cs or not other.cs:
             return _ZERO
-        lo, ints = self.lo + other.lo, self.ints and other.ints
-        x, y = (self, other) if len(self.cs) <= len(other.cs) else (other, self)
-        a, b = x.cs, y.cs
+        lo = self.lo + other.lo
+        a, b = (self.cs, other.cs) if len(self.cs) <= len(other.cs) else (other.cs, self.cs)
+        # The end terms of the product are the products of the end terms,
+        # nonzero in Z, so no result needs trimming.
         if len(a) == 1:
             c = a[0]
             if c == 1:
-                return _raw(lo, b, y.ints)
-            if len(b) == 1:
-                c = _as_coeff(c * b[0])
-                return _raw(lo, (c,), type(c) is int)
-            return _run(lo, list(map(mul, b, repeat(c))), ints)
+                return _raw(lo, b)
+            return _raw(lo, tuple(map(mul, b, repeat(c))))
         # Schoolbook: one shifted, scaled copy of b per nonzero term of a.
         m = len(b)
         out = [0] * (len(a) + m - 1)
         for i, c in enumerate(a):
             if c:
                 out[i:i + m] = map(add, out[i:i + m], map(mul, b, repeat(c)))
-        return _run(lo, out, ints)
+        return _raw(lo, tuple(out))
 
     __rmul__ = __mul__
 
@@ -207,60 +202,48 @@ class QLaurent:
         """Multiply by q^m (exponent shift)."""
         if m == 0 or not self.cs:
             return self
-        return _raw(self.lo + m, self.cs, self.ints)
+        return _raw(self.lo + m, self.cs)
 
     def subs_q_inverse(self) -> "QLaurent":
         """The substitution q -> 1/q; an involution and a ring homomorphism."""
         if not self.cs:
             return self
-        return _raw(1 - self.lo - len(self.cs), self.cs[::-1], self.ints)
+        return _raw(1 - self.lo - len(self.cs), self.cs[::-1])
 
-    def eval_at(self, v: CoeffLike) -> Fraction:
-        """Evaluate at q = v exactly.  v = 0 with negative exponents is rejected."""
-        v = Fraction(v)
+    def eval_at(self, v: int | Fraction) -> int | Fraction:
+        """Evaluate at q = v exactly: an int when v is an int and no exponent
+        is negative, a `fractions.Fraction` otherwise.  v = 0 with negative
+        exponents is rejected."""
         if v == 0:
             if self.lo < 0:
                 raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
-            return Fraction(self.coeff(0))
-        x = v.numerator if v.denominator == 1 else v
+            return self.coeff(0)
         total = 0
         for c in reversed(self.cs):
-            total = total * x + c
-        return total * v**self.lo
+            total = total * v + c
+        if self.lo >= 0 and isinstance(v, int):
+            return total * v**self.lo
+        from fractions import Fraction
+
+        return total * Fraction(v) ** self.lo
 
     # -- content and primitive part -------------------------------------------
 
-    def content(self) -> Fraction:
-        """The positive rational c with self = c * (primitive integer poly)."""
-        if not self.cs:
-            return Fraction(0)
-        if self.ints:
-            return Fraction(_int_gcd(*self.cs))
-        num = 0
-        den = 1
-        for c in self.cs:
-            f = Fraction(c)
-            num = _int_gcd(num, f.numerator)
-            den = den * f.denominator // _int_gcd(den, f.denominator)
-        return Fraction(num, den)
+    def content(self) -> int:
+        """The gcd of the coefficients: positive, and 0 for zero."""
+        return _int_gcd(*self.cs)
 
     def primitive(self) -> "QLaurent":
-        """self / content(); integer coefficients, same sign pattern."""
+        """self / content(): content 1, same sign pattern."""
         c = self.content()
-        if c in (0, 1):
-            return self
-        if self.ints:
-            g = c.numerator
-            return _raw(self.lo, tuple(v // g for v in self.cs), True)
-        inv = 1 / c
-        return _run(self.lo, [v * inv for v in self.cs])
+        return self if c < 2 else _divided(self, c)
 
     # -- comparison, hashing, display -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QLaurent):
             return self.lo == other.lo and self.cs == other.cs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.cs == ((other,) if other else ()) and self.lo == 0
         return NotImplemented
 
@@ -273,7 +256,7 @@ class QLaurent:
         parts: list[str] = []
         for e, c in self.items():
             if e == 0:
-                body = _coeff_str(c, standalone=True)
+                body = str(c)
             else:
                 var = "q" if e == 1 else f"q^{e}"
                 if c == 1:
@@ -281,7 +264,7 @@ class QLaurent:
                 elif c == -1:
                     body = "-" + var
                 else:
-                    body = _coeff_str(c, standalone=False) + var
+                    body = f"{c}{var}"
             if parts and not body.startswith("-"):
                 parts.append("+" + body)
             else:
@@ -298,20 +281,15 @@ class QLaurent:
         return [[e, str(c)] for e, c in self.items()]
 
 
-def _raw(lo: int, cs: tuple, ints: bool) -> QLaurent:
-    # Internal: cs must already be canonical, and ints true iff every entry is.
+def _raw(lo: int, cs: tuple) -> QLaurent:
+    # Internal: cs must already be a canonical run of ints.
     p = _new(QLaurent)
-    p.lo, p.cs, p.ints = lo, cs, ints
+    p.lo, p.cs = lo, cs
     return p
 
 
-def _run(lo: int, cs: Sequence[CoeffLike], ints: bool = False) -> QLaurent:
-    """The QLaurent sum_i cs[i] q^(lo+i), with zero ends trimmed.  Unless the
-    caller passes ints (every entry an int), integral Fractions are first
-    collapsed to int."""
-    if not ints:
-        cs = [c if type(c) is int else _as_coeff(c) for c in cs]
-        ints = Fraction not in map(type, cs)
+def _run(lo: int, cs: Sequence[int]) -> QLaurent:
+    """The QLaurent sum_i cs[i] q^(lo+i) of ints cs, with zero ends trimmed."""
     hi = len(cs)
     while hi and not cs[hi - 1]:
         hi -= 1
@@ -320,7 +298,7 @@ def _run(lo: int, cs: Sequence[CoeffLike], ints: bool = False) -> QLaurent:
     i = 0
     while not cs[i]:
         i += 1
-    return _raw(lo + i, tuple(cs[i:hi]), ints)
+    return _raw(lo + i, tuple(cs[i:hi]))
 
 
 def _combine(a: QLaurent, b: QLaurent, op) -> QLaurent:
@@ -330,56 +308,43 @@ def _combine(a: QLaurent, b: QLaurent, op) -> QLaurent:
     if not a.cs:
         return b if op is add else -b
     if len(a.cs) == len(b.cs) == 1 and a.lo == b.lo:  # two terms at one exponent
-        c = _as_coeff(op(a.cs[0], b.cs[0]))
-        return _raw(a.lo, (c,), type(c) is int) if c else _ZERO
+        c = op(a.cs[0], b.cs[0])
+        return _raw(a.lo, (c,)) if c else _ZERO
     lo = min(a.lo, b.lo)
     ia, ib = a.lo - lo, b.lo - lo
     end = ib + len(b.cs)
     out = [0] * max(ia + len(a.cs), end)
     out[ia:ia + len(a.cs)] = a.cs
     out[ib:end] = map(op, out[ib:end], b.cs)
-    return _run(lo, out, a.ints and b.ints)
+    return _run(lo, out)
 
 
-def _coeff_str(c: CoeffLike, standalone: bool) -> str:
-    f = Fraction(c)
-    if f.denominator == 1:
-        return str(f.numerator)
-    s = f"{f.numerator}/{f.denominator}"
-    return s if standalone else f"({s})"
+def _divided(p: QLaurent, g: int) -> QLaurent:
+    """p / g for a nonzero int g that divides every coefficient of p."""
+    return _raw(p.lo, tuple([c // g for c in p.cs]))
 
 
 def _coerce_laurent(x: object):
     if isinstance(x, QLaurent):
         return x
-    if isinstance(x, (int, Fraction)):
-        c = _as_coeff(x)
-        return _raw(0, (c,), type(c) is int) if c else _ZERO
+    if isinstance(x, int):
+        return _raw(0, (int(x),)) if x else _ZERO
     return NotImplemented
 
 
 _new = object.__new__
-_ZERO = _raw(0, (), True)
-_ONE = _raw(0, (1,), True)
-Q = _raw(1, (1,), True)
+_ZERO = _raw(0, ())
+_ONE = _raw(0, (1,))
+Q = _raw(1, (1,))
 
 
-# -- gcd and exact division over Q[q, q^-1] -----------------------------------
+# -- gcd and exact division over Z[q, q^-1] -----------------------------------
 
 
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _list_content(a: list[int]) -> int:
-    g = 0
-    for c in a:
-        g = _int_gcd(g, c)
-        if g == 1:
-            break
-    return g
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -414,7 +379,7 @@ def poly_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero or b.is_zero:
         g = (b if a.is_zero else a).primitive().cs
-        return _raw(0, g if g[-1] > 0 else tuple(map(neg, g)), True)
+        return _raw(0, g if g[-1] > 0 else tuple(map(neg, g)))
     # Both runs are read upward from their lowest term, so q divides neither.
     da, db = a.primitive().cs, b.primitive().cs
     if len(da) < len(db):
@@ -423,18 +388,18 @@ def poly_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
     # step to keep coefficient growth in check.
     while db:
         r = _pseudo_rem(da, db)
-        if r:
-            c = _list_content(r)
-            if c > 1:
-                r = [x // c for x in r]
+        c = _int_gcd(*r)
+        if c > 1:
+            r = [x // c for x in r]
         da, db = db, r
     if da[-1] < 0:
         da = [-c for c in da]
-    return _run(0, da, True)
+    return _run(0, da)
 
 
 def ql_divexact(a: QLaurent, b: QLaurent) -> QLaurent:
-    """Exact quotient a / b in Q[q, q^-1]; raises ExactnessError on remainder."""
+    """Exact quotient a / b in Z[q, q^-1]; raises ExactnessError when there
+    is none."""
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
@@ -445,9 +410,10 @@ def ql_divexact(a: QLaurent, b: QLaurent) -> QLaurent:
     return _run(a.lo - b.lo, quot)
 
 
-def _divexact_dense(a: Sequence[CoeffLike], b: Sequence[CoeffLike]) -> list[CoeffLike] | None:
-    """Exact quotient of coefficient runs read from q^0, or None on a
-    remainder.  Needs b[0] != 0; when a[-1] and b[-1] are nonzero, so is the
+def _divexact_dense(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """Exact quotient in Z[q] of integer runs read from q^0, or None when
+    there is none (a remainder, or a quotient coefficient that is not an
+    integer).  Needs b[0] != 0; when a[-1] and b[-1] are nonzero, so is the
     quotient's last entry."""
     n = len(a) - len(b) + 1
     if n <= 0:
@@ -455,12 +421,14 @@ def _divexact_dense(a: Sequence[CoeffLike], b: Sequence[CoeffLike]) -> list[Coef
     # Ascending synthetic division: term k of the quotient clears rem[k].
     b0 = b[0]
     rem = list(a)
-    quot: list[CoeffLike] = [0] * n
+    quot: list[int] = [0] * n
     for k in range(n):
         c = rem[k]
         if c:
             if b0 != 1:
-                c = _as_coeff(Fraction(c) / b0)
+                c, r = divmod(c, b0)
+                if r:
+                    return None
             quot[k] = c
             for j, bc in enumerate(b):
                 rem[k + j] -= c * bc
@@ -476,14 +444,15 @@ def lowest_terms(
     """The canonical form of the fractions nums[k] / den over one shared
     denominator.
 
-    The returned den is a polynomial with a nonzero constant term, integer
-    coefficients of content 1 and a positive leading coefficient, and no
-    polynomial factor divides it and every returned column: monomials q^m go
-    to the columns, one gcd fold over den and every column (stopping at 1,
-    and skipping the gcd for a column the running gcd divides) is divided
-    out, and the rational content of den moves to the columns.
-    Equal fraction lists therefore have equal forms.  All-zero columns come
-    back over 1; a zero den raises ZeroDivisionError.
+    The returned den is a polynomial with a nonzero constant term and a
+    positive leading coefficient, and no factor of Z[q] but 1 divides it and
+    every returned column: monomials q^m go to the columns, one gcd fold
+    over den and every column (stopping at 1, and skipping the gcd for a
+    column the running gcd divides) is divided out, and so is the gcd of the
+    contents, signed so that den leads positive.  den keeps the rest of its
+    integer content: 1/2 stays 1 over 2.  Equal fraction lists therefore
+    have equal forms.  All-zero columns come back over 1; a zero den raises
+    ZeroDivisionError.
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
@@ -493,7 +462,7 @@ def lowest_terms(
     if v:
         den = den.shifted(-v)
         nums = [c.shifted(-v) for c in nums]
-    if den != _ONE:
+    if len(den.cs) > 1:
         # A column that the running gcd g divides leaves g as it is, so try
         # that exact division first and run the remainder sequence only on a
         # remainder.  While g is still den, the quotients are the columns.
@@ -512,26 +481,40 @@ def lowest_terms(
         elif g != _ONE:
             nums = [ql_divexact(c, g) for c in nums]
             den = ql_divexact(den, g)
-        c = den.content()
-        if den.leading_coeff < 0:
-            c = -c
-        if c != 1:
-            inv = 1 / c
-            nums = [t * inv for t in nums]
-            den = den * inv
+    # The integer content: all that den and the columns can share when den
+    # is a constant.
+    g = den.content()
+    for c in nums:
+        if g == 1:
+            break
+        g = _int_gcd(g, *c.cs)
+    if den.cs[-1] < 0:
+        g = -g
+    if g != 1:
+        nums = [_divided(c, g) for c in nums]
+        den = _divided(den, g)
     return tuple(nums), den
 
 
 class QRatFunc:
-    """An element of Q(q) as a canonical reduced fraction num / den."""
+    """An element of Q(q) as a canonical reduced fraction num / den.
+
+    num and den may each be a QLaurent, an int, an exact rational such as a
+    `fractions.Fraction`, or a QRatFunc.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Union[QLaurent, int, Fraction], den: Union[QLaurent, int, Fraction] = _ONE):
-        num = _coerce_laurent(num)
-        den = _coerce_laurent(den)
-        if num is NotImplemented or den is NotImplemented:
-            raise TypeError("QRatFunc expects QLaurent or exact rational arguments")
+    def __init__(
+        self,
+        num: QLaurent | int | Fraction | QRatFunc,
+        den: QLaurent | int | Fraction | QRatFunc = _ONE,
+    ):
+        if type(num) is not QLaurent or type(den) is not QLaurent:
+            rn, rd = _coerce_ratfunc(num), _coerce_ratfunc(den)
+            if rn is NotImplemented or rd is NotImplemented:
+                raise TypeError("QRatFunc expects QLaurent or exact rational arguments")
+            num, den = rn.num * rd.den, rn.den * rd.num
         (self.num,), self.den = lowest_terms((num,), den)
 
     @classmethod
@@ -612,11 +595,13 @@ class QRatFunc:
     def subs_q_inverse(self) -> "QRatFunc":
         return QRatFunc(self.num.subs_q_inverse(), self.den.subs_q_inverse())
 
-    def eval_at(self, v: CoeffLike) -> Fraction:
+    def eval_at(self, v: int | Fraction) -> Fraction:
+        from fractions import Fraction
+
         dv = self.den.eval_at(v)
         if dv == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={v}")
-        return self.num.eval_at(v) / dv
+        return Fraction(self.num.eval_at(v), dv)
 
     # -- comparison, hashing, display -----------------------------------------
 
@@ -651,9 +636,14 @@ RF_ONE = QRatFunc._make(_ONE, _ONE)
 def _coerce_ratfunc(x: object):
     if isinstance(x, QRatFunc):
         return x
-    if isinstance(x, (QLaurent, int, Fraction)):
-        lx = _coerce_laurent(x)
+    lx = _coerce_laurent(x)
+    if lx is not NotImplemented:
         return QRatFunc._make(lx, _ONE)
+    # An exact rational, read through its numerator and denominator (the
+    # numbers.Rational interface of fractions.Fraction): an int over an int.
+    num, den = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if type(num) is int and type(den) is int and den:
+        return QRatFunc(num, den)
     return NotImplemented
 
 

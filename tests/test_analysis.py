@@ -114,10 +114,12 @@ def test_numerator_reducible_fraction():
 
 
 def test_numerator_rational_coefficients_use_generic_gcd():
-    # non-integer columns fall back to the polynomial-gcd route
-    c = XPoly([QRatFunc(QLaurent({0: Fraction(1, 2), 1: Fraction(1, 2)}))])
+    # (1 + q)/2 is the integer column 1 + q over the integer denominator 2,
+    # which [2]_q! does not clear: [2]_q! C = (1 + q)^2 / 2 is not in Z[q]
+    c = XPoly([QRatFunc(ONE + Q, 2)])
     r = numerator(3, c)
-    assert r.is_polynomial
+    assert r.numerator == ((ONE + Q) * (ONE + Q),)
+    assert not r.is_polynomial
     assert not r.is_irreducible_fraction
 
 
@@ -132,8 +134,8 @@ def test_numerator_negative_coefficient():
     "n, cols, positive",
     [
         (2, [QLaurent({0: 1, 2: 1, 3: 2})], True),  # interior zero
-        (3, [QLaurent({0: Fraction(1, 2), 1: Fraction(1, 2)})], True),
-        (3, [QLaurent({0: Fraction(1, 2), 2: Fraction(-1, 3)})], False),
+        (3, [QRatFunc(ONE + Q, 2)], True),  # (1 + q)/2
+        (3, [QRatFunc(QLaurent({0: 3, 2: -2}), 6)], False),  # 1/2 - q^2/3
         (2, [ZERO, ONE + Q], True),  # zero column
         (2, [QLaurent({0: 1, 1: 1, 3: -1, 4: 1})], False),  # one negative
     ],

@@ -1,8 +1,11 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and none imports
+`fractions` at module scope.
 
 A name counts as used when it is read anywhere in the module, annotations
 included.  `__init__.py` is checked too: it loads its exports on first use
-rather than importing them.
+rather than importing them.  Coefficients are ints, so `fractions` (which
+loads `decimal` and `numbers`) is imported only inside the functions that
+return a Fraction, and for annotations under `if TYPE_CHECKING:`.
 """
 
 import ast
@@ -37,6 +40,43 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def module_scope_imports(source: str) -> set[str]:
+    """Top-level module names imported outside every function body and
+    every `if TYPE_CHECKING:` block (which never runs)."""
+    names = set()
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            todo.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_scope_fractions_import(path):
+    assert "fractions" not in module_scope_imports(path.read_text())
+
+
+def test_scope_checker_sees_module_scope_imports():
+    src = (
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "if True:\n    import json\n"
+        "class C:\n    import csv\n\n    def f(self):\n        import decimal\n"
+        "def g():\n    import numbers\n"
+        "if TYPE_CHECKING:\n    import decimal\nelse:\n    import math\n"
+    )
+    assert module_scope_imports(src) == {"os", "fractions", "json", "csv", "math"}
 
 
 def test_checker_sees_an_unused_import():

@@ -1,6 +1,7 @@
 """Exact Laurent-polynomial and rational-function arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from qballot.qlaurent import (
     ExactnessError,
     QLaurent,
     QRatFunc,
+    lowest_terms,
     poly_gcd,
     ql_divexact,
 )
@@ -21,10 +23,7 @@ from qballot.qlaurent import (
 # ---------------------------------------------------------------------------
 # strategies
 
-coeffs = st.one_of(
-    st.integers(min_value=-9, max_value=9),
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
-)
+coeffs = st.integers(min_value=-9, max_value=9)
 
 
 @st.composite
@@ -64,17 +63,25 @@ def ratfuncs(draw):
 
 
 def test_zero_coefficients_are_dropped():
-    assert QLaurent({0: 1, 1: 0, 2: Fraction(0)}) == ONE
+    assert QLaurent({0: 1, 1: 0, 2: False}) == ONE
     assert QLaurent({3: 0}).is_zero
 
 
-def test_integral_fractions_collapse_to_int():
-    p = QLaurent({1: Fraction(4, 2)})
+def test_coefficients_are_ints():
+    p = QLaurent({1: True})
     ((exp, c),) = p.items()
-    assert exp == 1 and c == 2 and isinstance(c, int)
-    half = QLaurent.monomial(1, Fraction(1, 2))
-    for r in (half + half, half * 2, half * QLaurent.monomial(-1, 4), 1 - half.shifted(-1) * 2):
-        assert r.ints and all(type(c) is int for c in r.cs)
+    assert exp == 1 and c == 1 and type(c) is int
+    # Z[q, q^-1] has no rational coefficients, not even integral Fractions
+    for bad in (Fraction(1, 2), Fraction(4, 2), 0.5, "1"):
+        with pytest.raises(TypeError):
+            QLaurent({0: bad})
+        with pytest.raises(TypeError):
+            QLaurent.monomial(0, bad)
+        with pytest.raises(TypeError):
+            Q * bad
+        with pytest.raises(TypeError):
+            bad + Q
+    assert Q != Fraction(1)  # a Fraction is no QLaurent scalar
 
 
 def test_monomial_and_constants():
@@ -110,8 +117,7 @@ def _assert_canonical(p):
         assert p.cs[0] and p.cs[-1]
     else:
         assert p.lo == 0  # zero is the empty run
-    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.cs)
-    assert p.ints == all(type(c) is int for c in p.cs)
+    assert all(type(c) is int for c in p.cs)
 
 
 def _map_sum(a, b, sign):
@@ -146,7 +152,7 @@ def test_results_are_canonical_runs(a, b):
         (a * b, _map_product(ta, tb)),
         (a.shifted(3), {e + 3: c for e, c in ta.items()}),
         (a.subs_q_inverse(), {-e: c for e, c in ta.items()}),
-        (a.primitive(), {e: c / a.content() for e, c in ta.items()}),
+        (a.primitive(), {e: c // a.content() for e, c in ta.items()}),
     ]
     if b:
         cases.append((ql_divexact(a * b, b), ta))
@@ -196,7 +202,8 @@ def test_scalar_mixing():
     assert (ONE + Q) * 2 == QLaurent({0: 2, 1: 2})
     assert Q + 1 == QLaurent({0: 1, 1: 1})
     assert 1 - Q == QLaurent({0: 1, 1: -1})
-    assert Fraction(1, 2) * Q == QLaurent({1: Fraction(1, 2)})
+    assert QRatFunc(1, 2) * Q == QRatFunc(Q, 2)
+    assert QRatFunc(1, 2) * 2 == 1
 
 
 @given(laurents(), st.integers(min_value=-4, max_value=4))
@@ -233,7 +240,8 @@ def test_eval_is_a_ring_map(a, b):
 def test_eval_examples():
     p = ONE + Q + Q * Q  # [3]_q
     assert p.eval_at(1) == 3
-    assert p.eval_at(2) == 7
+    assert p.eval_at(2) == 7 and type(p.eval_at(2)) is int
+    assert QLaurent.monomial(-1).eval_at(2) == Fraction(1, 2)
     assert QLaurent.monomial(-2, 3).eval_at(Fraction(1, 2)) == 12
     with pytest.raises(ZeroDivisionError):
         QLaurent.monomial(-1).eval_at(0)
@@ -246,7 +254,6 @@ def test_eval_examples():
 
 def test_content_examples():
     assert QLaurent({0: 4, 1: -6}).content() == 2
-    assert QLaurent({0: Fraction(3, 2), 2: 3}).content() == Fraction(3, 2)
     assert QLaurent({0: -5}).content() == 5  # always positive
     assert ZERO.content() == 0
 
@@ -270,7 +277,7 @@ def test_str_forms():
     assert str(ONE) == "1"
     assert str(QLaurent({0: 1, 1: 2, 2: 2, 3: 1})) == "1+2q+2q^2+q^3"
     assert str(QLaurent({0: 1, 1: -1})) == "1-q"
-    assert str(QLaurent({1: Fraction(3, 2)})) == "(3/2)q"
+    assert str(QLaurent({1: -3})) == "-3q"
     assert str(QLaurent({-2: 1, 0: -3})) == "q^-2-3"
 
 
@@ -279,12 +286,12 @@ def test_str_forms():
 def test_json_roundtrip(a):
     blob = a.to_json()
     assert blob == sorted(blob)
-    assert QLaurent((e, Fraction(c)) for e, c in blob) == a
+    assert QLaurent((e, int(c)) for e, c in blob) == a
 
 
 def test_json_shape():
     assert (Q + 1).to_json() == [[0, "1"], [1, "1"]]
-    assert QLaurent({0: Fraction(-1, 3)}).to_json() == [[0, "-1/3"]]
+    assert QLaurent({-1: -3}).to_json() == [[-1, "-3"]]
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +340,9 @@ def test_divexact_rejects_remainders():
         ql_divexact(ONE, ONE + Q)
     with pytest.raises(ExactnessError):  # a leading coefficient other than 1
         ql_divexact(ONE + Q, QLaurent({0: 2, 1: 1}))
+    with pytest.raises(ExactnessError):  # a quotient in Q[q] but not in Z[q]
+        ql_divexact(ONE + Q, QLaurent({0: 2, 1: 2}))
+    assert ql_divexact(QLaurent({0: 6, 1: -6}), QLaurent({0: -3})) == QLaurent({0: -2, 1: 2})
     with pytest.raises(ZeroDivisionError):
         ql_divexact(ONE, ZERO)
 
@@ -360,13 +370,51 @@ def test_ratfunc_moves_monomial_factors_to_numerator():
     assert r.num == QLaurent.monomial(-2)
 
 
-def test_ratfunc_denominator_is_primitive_with_positive_lead():
+def test_ratfunc_denominator_keeps_integer_content_with_positive_lead():
     r = QRatFunc(ONE, QLaurent({0: 2, 1: 2}))
-    assert r.den == ONE + Q
-    assert r.num == QLaurent({0: Fraction(1, 2)})
+    assert r.den == QLaurent({0: 2, 1: 2})
+    assert r.num == ONE
     s = QRatFunc(ONE, QLaurent({0: -1, 1: -1}))
     assert s.den == ONE + Q
     assert s.num == QLaurent({0: -1})
+    # the gcd of all contents is divided out, signed so that den leads positive
+    t = QRatFunc(QLaurent({0: 4, 1: 6}), QLaurent({0: -6, 1: -2}))
+    assert (t.num, t.den) == (QLaurent({0: -2, 1: -3}), QLaurent({0: 3, 1: 1}))
+
+
+def test_rational_scalars_are_integers_over_integers():
+    half = QRatFunc(1, 2)
+    assert (half.num, half.den) == (ONE, QLaurent({0: 2}))
+    assert half * 2 == 1 and half + half == RF_ONE
+    assert QRatFunc(Fraction(1, 2)) == half == Fraction(1, 2)
+    assert QRatFunc(Fraction(3, 4), Fraction(-1, 2)) == QRatFunc(-3, 2)
+    assert QRatFunc(ONE + Q, 2) + QRatFunc(Q, 3) == QRatFunc(QLaurent({0: 3, 1: 5}), 6)
+    assert str(QRatFunc(ONE + Q, 2)) == "(1+q)/2"
+    with pytest.raises(TypeError):
+        QRatFunc(0.5)
+
+
+@given(
+    st.lists(laurents(max_terms=4), min_size=1, max_size=4),
+    nonzero_polynomials(),
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.integers(min_value=-3, max_value=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_lowest_terms_is_canonical(nums, den, k, m):
+    got, got_den = lowest_terms(nums, den)
+    # the same fractions, whatever integer and monomial scale them
+    assert lowest_terms([c.shifted(m) * k for c in nums], den.shifted(m) * k) == (got, got_den)
+    assert all(a * got_den == b * den for a, b in zip(nums, got))
+    # den: a polynomial with a nonzero constant term and a positive lead,
+    # sharing no integer and no polynomial factor with the columns
+    assert got_den.lo == 0 and got_den.cs[-1] > 0
+    assert gcd(got_den.content(), *(c.content() for c in got)) == 1
+    g = got_den
+    for c in got:
+        if c:
+            g = poly_gcd(g, c)
+    assert g == ONE
 
 
 def test_ratfunc_zero():
@@ -404,6 +452,7 @@ def test_ratfunc_q_inverse_involution(a):
 def test_ratfunc_eval():
     r = QRatFunc(ONE - Q**3, ONE - Q)  # [3]_q
     assert r.eval_at(2) == 7
+    assert QRatFunc(ONE, ONE + Q).eval_at(1) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         QRatFunc(ONE, ONE - Q).eval_at(1)
 

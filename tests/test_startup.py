@@ -5,7 +5,9 @@ loads, every op pays for.  The CLI loads no `dataclasses` (which brings
 `inspect` with it), and loads `json` and `csv` only where an op's output or
 its --cache file needs them.  Of the package, a bare `import qballot` loads
 no module, and the CLI loads `analysis`, `csequence` and `qcore` only for the
-commands that run them.  The ops that do need them are run cold here too,
+commands that run them.  Coefficients are ints, so the ballot ops and the
+conjecture sweep load no `fractions` (nor `decimal` and `numbers`, which it
+brings).  The ops that do need them are run cold here too,
 and the conjecture sweep, split over forked children, loads no process-pool
 or pickling module.  A cold process enters through `run()`, which freezes the
 collector after `main()` so that interpreter finalization has nothing to scan;
@@ -35,6 +37,9 @@ DEFERRED = {"dataclasses", "inspect", "json", "csv"}
 
 # Modules that `table`, `ballot` and `catalan` never run.
 HEAVY = {"qballot.analysis", "qballot.csequence", "qballot.qcore"}
+
+# `fractions` and what it loads; only the polytope slopes need a Fraction.
+RATIONAL = {"fractions", "decimal", "numbers"}
 
 
 def _run(*args):
@@ -96,6 +101,7 @@ def test_ballot_ops_import_no_heavy_module(argv):
     names = _imported(proc.stderr)
     assert "qballot.ballot" in names
     assert names & HEAVY == set()
+    assert names & RATIONAL == set()
 
 
 def _in_process(argv):
@@ -152,6 +158,14 @@ def test_conjecture_sweep_imports_no_process_pool():
     assert "qballot.analysis" in names
     top = {name.split(".")[0] for name in names}
     assert top & {"multiprocessing", "concurrent", "pickle", "subprocess"} == set()
+    assert names & RATIONAL == set()
+
+
+def test_polytope_loads_fractions_for_its_slopes():
+    # the one op that returns Fractions: the RATIONAL checks above can see them
+    proc = _run("-X", "importtime", "-m", "qballot.cli", "polytope", "--n", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert RATIONAL <= _imported(proc.stderr)
 
 
 @pytest.mark.parametrize(

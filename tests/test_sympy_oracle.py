@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from qballot.csequence import c_family
 from qballot.qcore import cyclotomic, gauss_binom
-from qballot.qlaurent import QLaurent, _divexact_dense, poly_gcd
+from qballot.qlaurent import RF_ZERO, QLaurent, QRatFunc, _divexact_dense, poly_gcd
 from qballot.report import METHODS
 
 sympy = pytest.importorskip("sympy")
@@ -47,6 +47,20 @@ def poly(cs):
     )
 
 
+def rational(cs, lo=0) -> QRatFunc:
+    """sum cs[i] q^(lo+i) for rational cs, summed in QRatFunc arithmetic: an
+    integer Laurent run over an integer."""
+    return sum((QRatFunc(c) * QLaurent.monomial(lo + i) for i, c in enumerate(cs)), RF_ZERO)
+
+
+def integer_run(cs, lo=0) -> QLaurent:
+    """The integer numerator of `rational(cs, lo)`; its denominator is a
+    positive integer."""
+    r = rational(cs, lo)
+    assert r.den.lo == 0 and len(r.den.cs) == 1 and r.den.cs[0] > 0
+    return r.num
+
+
 def laurent(p: QLaurent):
     return sum(sympy.Rational(c.numerator, c.denominator) * q**e for e, c in p.items())
 
@@ -57,10 +71,10 @@ def test_poly_gcd_matches_sympy(a, b, common, lo_a, lo_b):
     # a common factor makes a nontrivial gcd likely
     a = (poly(a) * poly(common)).all_coeffs()[::-1]
     b = (poly(b) * poly(common)).all_coeffs()[::-1]
-    pa = QLaurent({lo_a + i: Fraction(int(c.p), int(c.q)) for i, c in enumerate(a)})
-    pb = QLaurent({lo_b + i: Fraction(int(c.p), int(c.q)) for i, c in enumerate(b)})
+    pa = integer_run([Fraction(int(c.p), int(c.q)) for c in a], lo_a)
+    pb = integer_run([Fraction(int(c.p), int(c.q)) for c in b], lo_b)
     g = poly_gcd(pa, pb)
-    assert g.lo == 0 and g.ints and g.cs[-1] > 0 and g.content() == 1
+    assert g.lo == 0 and g.cs[-1] > 0 and g.content() == 1
     want = poly(pa.cs).gcd(poly(pb.cs))  # monic over Q; q divides neither run
     assert poly(g.cs).monic() == want
 
@@ -68,9 +82,9 @@ def test_poly_gcd_matches_sympy(a, b, common, lo_a, lo_b):
 @given(runs())
 @settings(max_examples=40, deadline=None)
 def test_poly_gcd_with_zero_is_the_primitive_part(a):
-    g = poly_gcd(QLaurent(dict(enumerate(a, 2))), QLaurent({}))
+    g = poly_gcd(integer_run(a, 2), QLaurent({}))
     assert poly(g.cs).monic() == poly(a).monic()
-    assert g.ints and g.cs[-1] > 0 and g.content() == 1
+    assert g.cs[-1] > 0 and g.content() == 1
 
 
 @given(runs(), runs(max_len=4), st.booleans())
@@ -78,14 +92,25 @@ def test_poly_gcd_with_zero_is_the_primitive_part(a):
 def test_divexact_dense_matches_sympy_div(a, b, exact):
     if exact:
         a = [Fraction(int(c.p), int(c.q)) for c in (poly(a) * poly(b)).all_coeffs()[::-1]]
+    # In Q(q): the quotient is in Q[q], an integer run over a constant
+    # denominator, iff sympy leaves no remainder.
     quot, rem = sympy.div(poly(a), poly(b))
-    got = _divexact_dense(a, b)
+    ratio = rational(a) / rational(b)
+    in_q_poly = len(ratio.den.cs) == 1
+    assert in_q_poly == rem.is_zero
     if rem.is_zero:
+        assert laurent(ratio.num) / ratio.den.cs[0] == quot.as_expr()
+    # Over Z[q], on the integer runs: a quotient exists iff sympy's has
+    # integer coefficients.
+    ia, ib = integer_run(a).cs, integer_run(b).cs
+    quot, rem = sympy.div(poly(ia), poly(ib))
+    got = _divexact_dense(ia, ib)
+    if rem.is_zero and all(c.is_integer for c in quot.all_coeffs()):
         assert got is not None and poly(got) == quot
     else:
         assert got is None
     if exact:
-        assert got is not None
+        assert in_q_poly
 
 
 @pytest.mark.parametrize("e", range(1, 31))
