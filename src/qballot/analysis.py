@@ -585,7 +585,7 @@ def andrews_check(maxn: int, readings: Iterable[str] = ("literal",)) -> SuiteRep
     Catalan normalization, and "lowered-exponent" drops the stray q^(j+1)
     from each summand (that variant does hold; see README).
     """
-    rep = SuiteReport("andrews", mode="report")
+    rep = SuiteReport("andrews")
     for reading in readings:
         if reading not in ANDREWS_READINGS:
             raise ValueError(f"unknown reading {reading!r}; choose from {ANDREWS_READINGS}")

@@ -232,8 +232,8 @@ def qballot(n: int, k: int) -> QLaurent:
 # -- exhaustive path oracles --------------------------------------------------
 
 
-def _check_cap(total: int, cap: Optional[int]) -> None:
-    limit = path_cap() if cap is None else cap
+def _check_cap(total: int) -> None:
+    limit = path_cap()
     if total > limit:
         raise ValueError(
             f"path enumeration refused: n+k={total} exceeds cap {limit} "
@@ -286,7 +286,7 @@ def _path_areas(n: int, k: int, east) -> dict[int, int]:
     return counts
 
 
-def qballot_paths(n: int, k: int, cap: Optional[int] = None) -> QLaurent:
+def qballot_paths(n: int, k: int) -> QLaurent:
     """f(n, k | q) by enumeration of paths, weighted by area below.
 
     A path (0,0) -> (n,k) is a prefix to the anti-diagonal x + y = (n+k)//2
@@ -295,14 +295,14 @@ def qballot_paths(n: int, k: int, cap: Optional[int] = None) -> QLaurent:
     heights, and the forced final east step at height k adds k cells."""
     if n < 0 or k < 0:
         raise ValueError("qballot_paths needs n, k >= 0")
-    _check_cap(n + k, cap)
+    _check_cap(n + k)
     if k > n:
         return ZERO
     counts = _path_areas(n, k, lambda x, y: y)
     return QLaurent({area + k: c for area, c in counts.items()})
 
 
-def tilde_f_paths(m: int, n: int, cap: Optional[int] = None) -> QLaurent:
+def tilde_f_paths(m: int, n: int) -> QLaurent:
     """Sum of q^A' over the same paths, A' counting cells above the path and
     below both y = x and y = n.  Independent of the reversal formula.
 
@@ -311,7 +311,7 @@ def tilde_f_paths(m: int, n: int, cap: Optional[int] = None) -> QLaurent:
     adds min(x, n) - y cells."""
     if m < n or n < 0:
         raise ValueError("tilde_f_paths needs m >= n >= 0")
-    _check_cap(m + n, cap)
+    _check_cap(m + n)
     return QLaurent(_path_areas(m, n, lambda x, y: min(x, n) - y))
 
 

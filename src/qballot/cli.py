@@ -41,7 +41,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .ballot import TABLE, ballot, qballot, qcatalan, tilde_qcatalan
 from .qlaurent import ExactnessError
-from .report import METHODS, SUITES, SuiteReport
+from .report import METHODS, SUITES
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -175,10 +175,6 @@ def cmd_cx(args: argparse.Namespace) -> tuple[str, int]:
 # -- verification -------------------------------------------------------------
 
 
-def _report_text(rep: SuiteReport) -> str:
-    return "\n".join(rep.lines()) + "\n"
-
-
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
@@ -194,7 +190,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         ]
         text = _csv_text(("id", "n", "k", "pass", "detail"), rows)
     else:
-        text = _report_text(rep)
+        text = "\n".join(rep.lines()) + "\n"
     return text, 0 if rep.passed else 1
 
 

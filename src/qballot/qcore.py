@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate, chain, count, repeat, starmap, zip_longest
-from math import comb, gcd
+from math import comb
 from operator import add, lshift, sub
 from typing import Iterable, Sequence, Union
 
@@ -39,7 +39,6 @@ from .qlaurent import (
     _divexact_dense,
     _run,
     lowest_terms,
-    poly_gcd,
     ql_divexact,
 )
 
@@ -117,16 +116,21 @@ class XPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = []
+        nums, den = [], ONE
         for c in coeffs:
             r = _coerce_ratfunc(c)
             if r is NotImplemented:
                 raise TypeError(f"not a Q(q) scalar: {c!r}")
-            cs.append(r)
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        nums, self.den = _clear_denominators(cs)
-        self.nums = tuple(nums)
+            if r.den == den:
+                nums.append(r.num)
+            elif r.den == ONE:
+                nums.append(r.num * den)
+            else:
+                nums = [t * r.den for t in nums] + [r.num * den]
+                den = den * r.den
+        while nums and not nums[-1]:
+            nums.pop()
+        self.nums, self.den = lowest_terms(nums, den)
 
     @classmethod
     def _raw(cls, nums: tuple[QLaurent, ...], den: QLaurent) -> "XPoly":
@@ -300,30 +304,12 @@ def qbinom_x(k: int) -> XPoly:
 #
 # An XPoly already is Laurent columns over one shared denominator, so every
 # operation below computes on its columns (_subst_laurent, _hahn_laurent)
-# with no gcd, and reduces once per result (XPoly._make).  Scalars are
-# cleared to that form by _clear_denominators; outside qlaurent, only it
-# and analysis.numerator call poly_gcd.  The q-binomial expansions work on
-# the same columns: qbinom_coords reads coordinates off iterated Hahn steps,
-# and from_qbinom_coords is the one route from coordinates to an XPoly.
-
-
-def _clear_denominators(cs: Sequence[QRatFunc]) -> tuple[list[QLaurent], QLaurent]:
-    """Write cs[k] = nums[k] / den with every nums[k] Laurent and one shared den.
-
-    den is the lcm in Z[q] of the reduced denominators, integer content
-    included, so the result is already in lowest shared terms
-    (`qlaurent.lowest_terms`).
-    """
-    den = ONE
-    for c in cs:
-        if c.den != ONE and c.den != den:
-            g = poly_gcd(den, c.den) * gcd(den.content(), c.den.content())
-            den = den * ql_divexact(c.den, g)
-    nums = []
-    for c in cs:
-        scale = den if c.den == ONE else ql_divexact(den, c.den)
-        nums.append(c.num if scale == ONE else c.num * scale)
-    return nums, den
+# with no gcd, and reduces once per result (XPoly._make).  The constructor
+# puts scalars in that form by cross-multiplying them onto one denominator
+# and reducing once; outside qlaurent, only analysis.numerator calls
+# poly_gcd.  The q-binomial expansions work on the same columns:
+# qbinom_coords reads coordinates off iterated Hahn steps, and
+# from_qbinom_coords is the one route from coordinates to an XPoly.
 
 
 def _subst_laurent(
@@ -356,7 +342,7 @@ def subst_affine(f: XPoly, a: ScalarLike, b: ScalarLike) -> XPoly:
         raise TypeError("affine substitution needs Q(q) scalars")
     if f.degree <= 0:
         return f
-    (an, bn), d = _clear_denominators((ra, rb))
+    (an, bn), d = lowest_terms((ra.num * rb.den, rb.num * ra.den), ra.den * rb.den)
     return XPoly._make(_subst_laurent(f.nums, an, bn, d), f.den * d**f.degree)
 
 
@@ -652,4 +638,4 @@ def q1_specialize(f: XPoly) -> XPoly:
     d1 = sum(f.den.cs)
     if d1 == 0:
         raise ZeroDivisionError("denominator vanishes at q=1")
-    return XPoly([QRatFunc(sum(c.cs), d1) for c in f.nums])
+    return XPoly._make([_run(0, (sum(c.cs),)) for c in f.nums], _run(0, (d1,)))

@@ -46,17 +46,11 @@ class CheckResult(NamedTuple):
 class SuiteReport:
     """All results of one named suite plus its pass/report semantics."""
 
-    __slots__ = ("suite", "results", "mode")
+    __slots__ = ("suite", "results")
 
-    def __init__(
-        self,
-        suite: str,
-        results: Optional[list[CheckResult]] = None,
-        mode: str = "assert",  # "assert": failures are failures; "report": recorded only
-    ) -> None:
+    def __init__(self, suite: str) -> None:
         self.suite = suite
-        self.results = [] if results is None else results
-        self.mode = mode
+        self.results: list[CheckResult] = []
 
     def expect(
         self,
@@ -77,6 +71,14 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results if r.asserted)
+
+    @property
+    def mode(self) -> str:
+        """The suite's mode: "report" when every check is an observation,
+        else "assert"."""
+        if self.results and not any(r.asserted for r in self.results):
+            return "report"
+        return "assert"
 
     @property
     def counts(self) -> tuple[int, int]:

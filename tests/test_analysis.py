@@ -418,7 +418,7 @@ def test_expect_formats_nothing_when_equal():
 
 
 def test_expect_failure_detail():
-    rep = report.SuiteReport("s", mode="report")
+    rep = report.SuiteReport("s")
     rep.expect("sum", 2, 3, ONE + Q, ONE)
     rep.expect("value", 4, None, Q, ZERO, ("C(0)", "prev(1)"), asserted=False)
     assert rep.results == [
@@ -429,3 +429,21 @@ def test_expect_failure_detail():
         "[FAIL] sum n=2 k=3: lhs=1+q rhs=1",
         "[MISMATCH] value n=4: C(0)=q prev(1)=0",
     ]
+
+
+def test_mode_follows_the_checks():
+    rep = report.SuiteReport("s")
+    assert rep.mode == "assert"  # no checks yet
+    rep.expect("seen", 1, None, Q, ONE, asserted=False)
+    rep.expect("seen", 2, None, Q, Q, asserted=False)
+    assert rep.mode == "report"
+    assert rep.lines()[-1] == "suite s: 1/2 ok (reported)"
+    assert rep.to_json()["mode"] == "report"
+    # one asserted check among the observations makes the suite assert
+    rep.expect("held", 3, None, ONE, ONE)
+    assert rep.mode == "assert"
+    assert rep.lines()[-1] == "suite s: 2/3 ok (pass)"
+    assert rep.to_json()["mode"] == "assert"
+    rep.expect("held", 4, None, Q, ONE)
+    assert rep.lines()[-1] == "suite s: 2/4 ok (fail)"
+    assert rep.to_json()["mode"] == "assert"

@@ -174,12 +174,13 @@ def test_path_oracles_match_naive_enumeration():
             assert tilde_f_paths(n, k) == QLaurent(above), (n, k)
 
 
-def test_path_oracles_past_default_cap():
+def test_path_oracles_past_default_cap(monkeypatch):
+    monkeypatch.setenv("QBALLOT_PATH_CAP", "30")
     pairs = [(t - k, k) for t in range(27, 31) for k in range(t // 2 + 1)]
     assert len(pairs) == 60
     for n, k in pairs:
-        assert qballot_paths(n, k, cap=30) == qballot(n, k), (n, k)
-        assert tilde_f_paths(n, k, cap=30) == tilde_f(n, k), (n, k)
+        assert qballot_paths(n, k) == qballot(n, k), (n, k)
+        assert tilde_f_paths(n, k) == tilde_f(n, k), (n, k)
 
 
 def test_path_walk_visits_halves_not_paths():
@@ -205,13 +206,15 @@ def test_tilde_is_q_reversal():
             assert tilde_f(m, n) == qballot(m, n).subs_q_inverse().shifted(shift)
 
 
-def test_path_cap_guard():
+def test_path_cap_guard(monkeypatch):
     with pytest.raises(ValueError, match="QBALLOT_PATH_CAP"):
         qballot_paths(14, 14)
-    # explicit cap overrides the default
-    assert qballot_paths(3, 2, cap=100) == qballot(3, 2)
-    with pytest.raises(ValueError):
-        qballot_paths(3, 2, cap=4)
+    # the environment variable moves the guard both ways
+    monkeypatch.setenv("QBALLOT_PATH_CAP", "100")
+    assert qballot_paths(3, 2) == qballot(3, 2)
+    monkeypatch.setenv("QBALLOT_PATH_CAP", "4")
+    with pytest.raises(ValueError, match="exceeds cap 4"):
+        qballot_paths(3, 2)
 
 
 def test_path_cap_env(monkeypatch):

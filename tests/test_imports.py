@@ -1,11 +1,14 @@
-"""Every module of the package uses every name it imports, and none imports
-`fractions` at module scope.
+"""Every module of the package uses every name it imports, none imports
+`fractions` at module scope, and only `qlaurent` and the `analysis` oracle
+bind `poly_gcd`.
 
 A name counts as used when it is read anywhere in the module, annotations
 included.  `__init__.py` is checked too: it loads its exports on first use
 rather than importing them.  Coefficients are ints, so `fractions` (which
 loads `decimal` and `numbers`) is imported only inside the functions that
 return a Fraction, and for annotations under `if TYPE_CHECKING:`.
+Denominators are reduced in one place, `qlaurent.lowest_terms`, so `qcore`
+binds no gcd of its own.
 """
 
 import ast
@@ -87,3 +90,32 @@ def test_checker_sees_an_unused_import():
     assert unused_imports(used) == []
     unread = "def dump(x):\n    import json\n\n    return str(x)\n"
     assert unused_imports(unread) == ["line 2: json"]
+
+
+def bound_names(source: str) -> set[str]:
+    """Every name the module binds anywhere: imports, definitions and
+    assignment targets."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_one_reducer():
+    binders = {p.name for p in MODULES if "poly_gcd" in bound_names(p.read_text())}
+    assert binders == {"qlaurent.py", "analysis.py"}
+    assert not {"gcd", "poly_gcd"} & bound_names((SRC / "qcore.py").read_text())
+
+
+def test_binding_checker_sees_every_binding():
+    src = (
+        "from math import gcd as g\nimport os.path\n"
+        "def poly_gcd(a, b):\n    c = a\n    return c\n"
+        "class R:\n    pass\nx, y = 1, 2\nprint(gcd)\n"
+    )
+    assert bound_names(src) == {"g", "os", "poly_gcd", "c", "R", "x", "y"}
