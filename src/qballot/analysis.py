@@ -33,7 +33,6 @@ from .csequence import (
     c_recurrence,
     c_shifted_theorem1,
     c_theorem1,
-    q1_identity_reports,
     theorem1_columns,
 )
 from .qcore import (
@@ -92,17 +91,6 @@ class NumeratorReport(NamedTuple):
             and self.all_coeffs_positive
         )
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "denominator": self.denominator.to_json(),
-            "numerator": [c.to_json() for c in self.numerator],
-            "is_polynomial": self.is_polynomial,
-            "is_irreducible_fraction": self.is_irreducible_fraction,
-            "all_coeffs_positive": self.all_coeffs_positive,
-            "coefficient_stats": [list(s) for s in self.coefficient_stats],
-        }
-
 
 def numerator(n: int, c: XPoly) -> NumeratorReport:
     """Clear [1]_q...[n-1]_q from C_n(x|q) and report on the result."""
@@ -121,11 +109,11 @@ def theorem1_numerator(n: int) -> NumeratorReport:
     """The report on P_n read straight off the Theorem 1 columns of
     [n-1]_q! C_n(x|q), with no reduction to C_n and no multiplying back.
 
-    The columns are computed past the cache of `theorem1_columns`, so a
-    sweep holds one column set at a time."""
+    `theorem1_columns` keeps nothing, so a sweep holds one column set at a
+    time."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cols = theorem1_columns.__wrapped__(n - 1)
+    cols = theorem1_columns(n - 1)
     return _numerator_report(n, cols, q_factorial(n - 1), True)
 
 
@@ -524,7 +512,27 @@ def _catalan_number(n: int) -> int:
 
 
 def _suite_q1_identities(maxn: int) -> SuiteReport:
-    rep = q1_identity_reports(maxn)
+    # Both q = 1 collapses of the closed-form expansions, C_{n+1}(x|1) and
+    # C_n(x+1|1), against sums of the plain binomials x(x-1)...(x-j+1)/j!
+    # weighted by ballot numbers; each binomial is the one before it times
+    # (x-j+1)/j.  Then the Catalan recurrence.
+    rep = SuiteReport("q1_identities")
+    binom_x = [XPoly.const(RF_ONE)]
+    for j in range(maxn):
+        binom_x.append(binom_x[-1] * XPoly([-j, 1]) * QRatFunc(1, j + 1))
+    for n in range(1, maxn + 1):
+        lhs_c = c_q1(n)
+        rhs_c = XPoly.zero()
+        for j in range(n + 1):
+            w = QRatFunc((2 * j + 1) * comb(2 * n, n - j), n + j + 1)
+            rhs_c = rhs_c + binom_x[j] * w
+        rep.expect("q1-interpolation", n, None, lhs_c, rhs_c)
+        lhs_d = subst_affine(c_q1(n - 1), RF_ONE, RF_ONE)
+        rhs_d = XPoly.zero()
+        for j in range(n):
+            w = QRatFunc((2 * j + 2) * comb(2 * n - 1, n - j - 1), n + j + 1)
+            rhs_d = rhs_d + binom_x[j] * w
+        rep.expect("q1-shifted", n, None, lhs_d, rhs_d)
     for n in range(1, maxn + 1):
         lhs = n * _catalan_number(n + 1)
         rhs = 2 * n * _catalan_number(n)

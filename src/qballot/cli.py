@@ -6,7 +6,8 @@ Newton polytopes.  Output is deterministic: the same flags always produce
 byte-identical text/JSON/CSV (SVG carries one fixed generator comment).
 Each cmd_* function returns its output text and exit code; main() loads the
 --cache file before it, saves the file after it when the file is new or the
-table grew, and then writes the text.
+table grew, and then writes the text.  Only the commands that can read the
+ballot table (table, ballot, catalan, cx and verify) take --cache.
 
 Every op is a cold process, so start-up is kept small: importing this
 module loads no ``dataclasses``, and ``json``/``csv`` are imported only by
@@ -253,13 +254,18 @@ def cmd_polytope(args: argparse.Namespace) -> tuple[str, int]:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_io(sp: argparse.ArgumentParser, formats: Sequence[str]) -> None:
+def _add_io(
+    sp: argparse.ArgumentParser, formats: Sequence[str], cache: bool = True
+) -> None:
     sp.add_argument("--format", choices=formats, default=formats[0])
     sp.add_argument("--out", type=Path, default=None, help="write output here")
-    sp.add_argument(
-        "--cache", type=Path, default=None,
-        help="load/save the ballot memo table as JSON",
-    )
+    if cache:
+        sp.add_argument(
+            "--cache", type=Path, default=None,
+            help="load/save the ballot memo table as JSON",
+        )
+    else:  # the command never reads the ballot table
+        sp.set_defaults(cache=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,12 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     j = sub.add_parser("conjecture", help="positivity/irreducibility sweep")
     j.add_argument("--max-n", type=int, default=27)
-    _add_io(j, ("text", "json", "csv"))
+    _add_io(j, ("text", "json", "csv"), cache=False)
     j.set_defaults(fn=cmd_conjecture)
 
     g = sub.add_parser("polytope", help="Newton polytope of the numerator")
     g.add_argument("--n", type=int, required=True)
-    _add_io(g, ("json", "svg"))
+    _add_io(g, ("json", "svg"), cache=False)
     g.set_defaults(fn=cmd_polytope)
 
     return p
@@ -327,6 +333,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.cache is not None and len(TABLE.known()) != stored:
             TABLE.save(str(args.cache))
         if args.out is None:
+            if sys.stdout is None:  # the process was started with fd 1 closed
+                raise OSError("standard output is closed")
             sys.stdout.write(text)
         else:
             args.out.write_text(text)

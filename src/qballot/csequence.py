@@ -32,11 +32,9 @@ from .qcore import (
     column_bytes,
     columns_over_qfactorial,
     from_qbinom_coords,
-    q_factorial,
     q_int,
     newton_horner,
     qbinom_coords,
-    subst_affine,
 )
 from .qlaurent import (
     ONE,
@@ -50,7 +48,7 @@ from .qlaurent import (
     lowest_terms,
     ql_divexact,
 )
-from .report import METHODS, SuiteReport
+from .report import METHODS
 
 _Q_SQUARED = QLaurent.monomial(2)
 _ONE_PLUS_Q = ONE + Q
@@ -186,7 +184,6 @@ def theorem1_qbinom_coeffs(n: int) -> tuple[QLaurent, ...]:
     return tuple(tilde_f(n + j, n - j).shifted(j * j) for j in range(n + 1))
 
 
-@cache
 def theorem1_columns(n: int) -> tuple[QLaurent, ...]:
     """The integer x-columns of [n]_q! C_{n+1}(x|q), lowest x-degree first.
 
@@ -204,6 +201,9 @@ def theorem1_columns(n: int) -> tuple[QLaurent, ...]:
     packed rows need not fit in w-bit digits.  Row m keeps k <= 2n - m,
     which is all that rows above it read, and at m = n + j its last entry
     is tilde_f(n+j, n-j), coordinate j before its shift by q^(j^2).
+
+    Nothing is kept between calls, so a sweep holds one column set at a
+    time; `c_theorem1` keeps their reduction over [n]_q!.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -227,7 +227,6 @@ def c_theorem1(n: int) -> XPoly:
     return columns_over_qfactorial(theorem1_columns(n), n)
 
 
-@cache
 def c_shifted_theorem1(n: int) -> XPoly:
     """C_n(qx+1|q): the companion expansion with coordinates
     tilde_f(n+j, n-1-j) * q^(j(j+1)), that is f(n+j, n-1-j | 1/q) *
@@ -256,19 +255,20 @@ def c_family(method: str, nmax: int) -> CFamily:
 def c_eval_qint(n: int, k: int) -> QLaurent:
     """C_{n+1}([k]_q | q) = tilde_f(k+n, n) = q^(kn + n(n+1)/2) f(k+n, n | 1/q).
 
-    Returns the closed form and cross-checks it against the integer
-    columns of [n]_q! C_{n+1}: in Z[q, q^-1], sum_i cols[i] [k]_q^i must
-    equal [n]_q! times the closed form, so no reduction is needed.  A
+    Returns the closed form and cross-checks it against the columns of
+    c_theorem1(n) = nums / den: in Z[q, q^-1], sum_i nums[i] [k]_q^i must
+    equal den times the closed form, so no reduction is needed.  A
     mismatch would be an internal bug.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
     val = tilde_f(k + n, n)
+    c = c_theorem1(n)
     node = q_int(k)
     acc = ZERO
-    for col in reversed(theorem1_columns(n)):
+    for col in reversed(c.nums):
         acc = acc * node + col
-    if acc != q_factorial(n) * val:
+    if acc != c.den * val:
         raise ExactnessError(
             f"q-integer evaluation disagrees with the polynomial at n={n}, k={k}"
         )
@@ -297,37 +297,6 @@ def c_q1_at_int(n: int, m: int) -> QRatFunc:
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
     return QRatFunc((m + 1) * comb(m + 2 * n, n), m + 1 + n)
-
-
-def _binoms_x(m: int) -> list[XPoly]:
-    """The plain binomials x(x-1)...(x-j+1)/j!, j = 0..m, as integer columns
-    over j!: each is the one before it times (x-j+1)/j."""
-    out = [XPoly.const(RF_ONE)]
-    for j in range(m):
-        out.append(out[-1] * XPoly([-j, 1]) * QRatFunc(1, j + 1))
-    return out
-
-
-def q1_identity_reports(maxn: int) -> SuiteReport:
-    """Both q = 1 collapses of the closed-form expansions, as polynomial
-    identities in x: C_{n+1}(x|1) and C_n(x+1|1) against sums of plain
-    binomials weighted by ballot numbers."""
-    rep = SuiteReport("q1_identities")
-    binom_x = _binoms_x(maxn)
-    for n in range(1, maxn + 1):
-        lhs_c = c_q1(n)
-        rhs_c = XPoly.zero()
-        for j in range(n + 1):
-            w = QRatFunc((2 * j + 1) * comb(2 * n, n - j), n + j + 1)
-            rhs_c = rhs_c + binom_x[j] * w
-        rep.expect("q1-interpolation", n, None, lhs_c, rhs_c)
-        lhs_d = subst_affine(c_q1(n - 1), RF_ONE, RF_ONE)
-        rhs_d = XPoly.zero()
-        for j in range(n):
-            w = QRatFunc((2 * j + 2) * comb(2 * n - 1, n - j - 1), n + j + 1)
-            rhs_d = rhs_d + binom_x[j] * w
-        rep.expect("q1-shifted", n, None, lhs_d, rhs_d)
-    return rep
 
 
 # -- rendering ----------------------------------------------------------------

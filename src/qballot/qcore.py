@@ -237,8 +237,12 @@ class XPoly:
     __rmul__ = __mul__
 
     def eval(self, point: ScalarLike) -> QRatFunc:
-        """Evaluate at x = point in Q(q): the constant term of f(0 x + point)."""
-        return subst_affine(self, 0, point).coeff(0)
+        """Evaluate at x = point in Q(q): the constant term of f(0 x + point).
+
+        That polynomial is one column in lowest shared terms, which is
+        already the canonical form of a QRatFunc."""
+        f = subst_affine(self, 0, point)
+        return QRatFunc._make(f.nums[0], f.den) if f.nums else RF_ZERO
 
     # -- comparison, hashing, display -----------------------------------------
 
@@ -342,7 +346,8 @@ def subst_affine(f: XPoly, a: ScalarLike, b: ScalarLike) -> XPoly:
         raise TypeError("affine substitution needs Q(q) scalars")
     if f.degree <= 0:
         return f
-    (an, bn), d = lowest_terms((ra.num * rb.den, rb.num * ra.den), ra.den * rb.den)
+    # (a x + b) = (an x + bn) / d; XPoly._make reduces the result once.
+    an, bn, d = ra.num * rb.den, rb.num * ra.den, ra.den * rb.den
     return XPoly._make(_subst_laurent(f.nums, an, bn, d), f.den * d**f.degree)
 
 

@@ -148,13 +148,6 @@ def test_numerator_positivity_flag(n, cols, positive):
     assert positive == all(v > 0 for col in r.numerator for _, v in col.items())
 
 
-def test_numerator_json():
-    blob = numerator(2, c_theorem1(1)).to_json()
-    assert blob["n"] == 2
-    assert blob["is_polynomial"] is True
-    assert blob["numerator"] == [[[0, "1"]], [[1, "1"]]]
-
-
 # ---------------------------------------------------------------------------
 # Newton polytopes
 

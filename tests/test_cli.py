@@ -440,25 +440,17 @@ def test_failed_fork_gives_the_serial_output(monkeypatch, sweep_cpus, capsys):
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
-def test_split_sweep_writes_the_serial_cache(tmp_path):
-    # Cold processes, so the ballot table starts empty.  The sweep's columns
-    # come from their own packed pass, so both runs save it empty.
-    def cold(cpus, cache):
-        code = (
-            "import os, sys\n"
-            f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
-            "from qballot.cli import main\n"
-            f"sys.exit(main(['conjecture', '--max-n', '12', '--cache', {str(cache)!r}]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        return proc.stdout, cache.read_bytes()
-
-    split = cold(3, tmp_path / "split.json")
-    assert split == cold(1, tmp_path / "serial.json")
-    assert json.loads(split[1])["entries"] == {}
+@pytest.mark.parametrize(
+    "argv", [["conjecture", "--max-n", "4"], ["polytope", "--n", "3"]], ids=lambda a: a[0]
+)
+def test_sweep_and_polytope_take_no_cache(tmp_path, argv):
+    # Their columns come from their own packed pass, which reads no ballot
+    # table, so --cache is a usage error there and no file is made.
+    cache = tmp_path / "cache.json"
+    proc = _cli(*argv, "--cache", str(cache))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --cache" in proc.stderr
+    assert not cache.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +736,17 @@ def test_main_fuzz_cache_bytes(tmp_path, argv, blob):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qballot: cache "), err
         assert cache.read_bytes() == blob
+
+
+def test_closed_stdout_is_a_usage_error():
+    # With fd 1 closed the interpreter sets sys.stdout to None: one line on
+    # stderr and exit 2, not a traceback and exit 1.
+    proc = subprocess.run(
+        [sys.executable, "-m", "qballot.cli", "catalan"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (2, "qballot: standard output is closed\n")
 
 
 def test_unreadable_out_path(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import qballot.csequence as csequence
 import qballot.report as report
+from qballot.analysis import run_suite
 from qballot.ballot import qballot, qcatalan, tilde_f, tilde_qcatalan
 from qballot.csequence import (
     METHODS,
@@ -21,7 +22,6 @@ from qballot.csequence import (
     c_shifted_theorem1,
     c_theorem1,
     format_qbinom,
-    q1_identity_reports,
     theorem1_columns,
     theorem1_qbinom_coeffs,
 )
@@ -277,7 +277,7 @@ def test_eval_qint_certifies_columns_beyond_the_benchmark_sizes():
 def test_packed_theorem1_columns_equal_the_coordinate_route(d):
     # The rolling pass over packed tilde_f rows against the ballot table's
     # coordinates packed by qbinom_columns: the same runs and offsets.
-    got = theorem1_columns.__wrapped__(d)
+    got = theorem1_columns(d)
     want = qbinom_columns(theorem1_qbinom_coeffs(d))
     assert [(c.lo, c.cs) for c in got] == [(c.lo, c.cs) for c in want]
 
@@ -287,13 +287,19 @@ def test_theorem1_columns_rejects_a_negative_n():
         theorem1_columns(-1)
 
 
+def test_theorem1_columns_keep_nothing():
+    # A sweep holds one column set at a time; c_theorem1 keeps the reduction.
+    assert not hasattr(theorem1_columns, "cache_info")
+    assert theorem1_columns(5) is not theorem1_columns(5)
+    assert not hasattr(c_shifted_theorem1, "cache_info")
+    assert hasattr(c_theorem1, "cache_info")
+
+
 @pytest.mark.parametrize("part", ["column", "closed-form"])
 def test_eval_qint_cross_check_fires(monkeypatch, capsys, part):
     if part == "column":
-        true_columns = theorem1_columns
-        monkeypatch.setattr(
-            csequence, "theorem1_columns", lambda n: (true_columns(n)[0] + Q, *true_columns(n)[1:])
-        )
+        true_c = c_theorem1
+        monkeypatch.setattr(csequence, "c_theorem1", lambda n: true_c(n) + Q)
     else:  # the columns come from their own packed pass, which reads no tilde_f
         monkeypatch.setattr(csequence, "tilde_f", lambda m, n: tilde_f(m, n).shifted(1))
     with pytest.raises(ExactnessError, match="n=2, k=1"):
@@ -341,11 +347,11 @@ def test_c_q1_at_int():
 
 
 def test_q1_identity_reports():
-    rep = q1_identity_reports(10)
+    rep = run_suite("q1_identities", 10)
     assert rep.suite == "q1_identities"
     assert rep.passed
     ids = {r.id for r in rep.results}
-    assert ids == {"q1-interpolation", "q1-shifted"}
+    assert ids == {"q1-interpolation", "q1-shifted", "catalan-recurrence"}
 
 
 # ---------------------------------------------------------------------------

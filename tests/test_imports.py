@@ -1,6 +1,6 @@
 """Every module of the package uses every name it imports, none imports
 `fractions` at module scope, and only `qlaurent` and the `analysis` oracle
-bind `poly_gcd`.
+bind `poly_gcd`; only `report` and `analysis` bind the suite types.
 
 A name counts as used when it is read anywhere in the module, annotations
 included.  `__init__.py` is checked too: it loads its exports on first use
@@ -110,6 +110,15 @@ def test_one_reducer():
     binders = {p.name for p in MODULES if "poly_gcd" in bound_names(p.read_text())}
     assert binders == {"qlaurent.py", "analysis.py"}
     assert not {"gcd", "poly_gcd"} & bound_names((SRC / "qcore.py").read_text())
+
+
+def test_one_home_for_the_suites():
+    # Verification suites are built in `analysis`, on the types of `report`.
+    binders = {
+        p.name for p in MODULES
+        if {"SuiteReport", "CheckResult"} & bound_names(p.read_text())
+    }
+    assert binders == {"report.py", "analysis.py"}
 
 
 def test_binding_checker_sees_every_binding():

@@ -21,6 +21,8 @@ from qballot.qlaurent import (
     ql_divexact,
 )
 import qballot.qcore as qcore
+import qballot.qlaurent as qlaurent
+from qballot.csequence import c_theorem1
 from qballot.qcore import (
     XPoly,
     cyclotomic,
@@ -172,6 +174,28 @@ def test_xpoly_eval_matches_naive():
         naive = naive + c * pt**k
     assert f.eval(pt) == naive
     assert f.eval(0) == QRatFunc(ONE + Q)
+
+
+def test_eval_reduces_once(monkeypatch):
+    # f(0 x + p) is reduced once, by XPoly._make; its one column is already
+    # the canonical QRatFunc, so neither the substitution nor the result
+    # runs a gcd of its own.
+    c = c_theorem1(6)
+    pt = QRatFunc(ONE + QLaurent.monomial(2), q_int(5))
+    want = RF_ZERO
+    for k, coeff in enumerate(c.coeffs):
+        want = want + coeff * pt**k
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(qlaurent, "poly_gcd", counting)
+    got = c.eval(pt)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_xpoly_str():
