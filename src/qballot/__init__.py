@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 
 # Each documented name -> the submodule that defines it.
 _HOMES = {
-    "ExactnessError": "qlaurent",
-    "Q": "qlaurent",
-    "QLaurent": "qlaurent",
+    "ExactnessError": "qring",
+    "Q": "qring",
+    "QLaurent": "qring",
     "QRatFunc": "qlaurent",
     "SUITES": "report",
     "XPoly": "qcore",
@@ -39,7 +39,9 @@ _HOMES = {
 
 __all__ = sorted(_HOMES)
 
-_SUBMODULES = ("analysis", "ballot", "cli", "csequence", "qcore", "qlaurent", "report")
+_SUBMODULES = (
+    "analysis", "ballot", "cli", "csequence", "qcore", "qlaurent", "qring", "report",
+)
 
 
 def __getattr__(name: str):

@@ -46,18 +46,8 @@ from .qcore import (
     subst_affine,
     to_qbinom_basis,
 )
-from .qlaurent import (
-    ONE,
-    Q,
-    ZERO,
-    ExactnessError,
-    QLaurent,
-    QRatFunc,
-    RF_ONE,
-    RF_ZERO,
-    poly_gcd,
-    ql_divexact,
-)
+from .qlaurent import QRatFunc, RF_ONE, RF_ZERO, poly_gcd, ql_divexact
+from .qring import ONE, Q, ZERO, ExactnessError, QLaurent
 from .report import SUITES, CheckResult, SuiteReport
 
 if TYPE_CHECKING:  # annotations only: importing fractions loads decimal
@@ -358,8 +348,12 @@ def svg_polytope(p: NewtonPolytope, title: str = "") -> str:
             f'<polyline points="{path}" fill="none" stroke="#b03a2e" '
             'stroke-width="2.5"/>'
         )
-    for q, x in p.points:
-        out.append(f'<circle cx="{sx(q)}" cy="{sy(x)}" r="3" fill="#1f3552"/>')
+    # Coordinates inline: two calls per point took 40% of this function at n = 50.
+    base = sy(0)
+    out += [
+        f'<circle cx="{margin + q * scale}" cy="{base - x * scale}" r="3" fill="#1f3552"/>'
+        for q, x in p.points
+    ]
     # axes with labels
     out.append(
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin // 2}" '

@@ -30,7 +30,7 @@ import threading
 from math import comb
 from typing import Optional
 
-from .qlaurent import ONE, ZERO, ExactnessError, QLaurent, _raw
+from .qring import ONE, ZERO, ExactnessError, QLaurent, _raw
 
 DEFAULT_PATH_CAP = 26
 

@@ -7,15 +7,17 @@ byte-identical text/JSON/CSV (SVG carries one fixed generator comment).
 Each cmd_* function returns its output text and exit code; main() loads the
 --cache file before it, saves the file after it when the file is new or the
 table grew, and then writes the text.  Only the commands that can read the
-ballot table (table, ballot, catalan, cx and verify) take --cache.
+ballot table (table, ballot, catalan, cx and verify) take --cache, and
+verify refuses it for the suites in ``report.TABLE_FREE_SUITES``.
 
 Every op is a cold process, so start-up is kept small: importing this
 module loads no ``dataclasses``, and ``json``/``csv`` are imported only by
 the code that writes ``--format json|csv`` or reads and writes ``--cache``.
-Of the package it loads only ``ballot``, ``qlaurent`` and ``report``, which
-is all that ``table``, ``ballot`` and ``catalan`` run; ``cx``, ``verify``,
-``conjecture`` and ``polytope`` import ``csequence``, ``qcore`` and
-``analysis`` inside their cmd_* function.  Coefficients are ints, and only
+Of the package it loads only ``ballot``, the ring module ``qring`` and
+``report``, which is all that ``table``, ``ballot`` and ``catalan`` run;
+``cx``, ``verify``, ``conjecture`` and ``polytope`` import ``csequence``,
+``qcore`` and ``analysis`` inside their cmd_* function, and those bring the
+gcd and the fraction field, ``qlaurent``.  Coefficients are ints, and only
 the functions that return a Fraction import ``fractions`` (which loads
 ``decimal`` and ``numbers``), so only ``polytope`` and ``verify polytope``
 load it, for the hull slopes.  A process runs ``run()``, which
@@ -41,8 +43,8 @@ from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
 from .ballot import TABLE, ballot, qballot, qcatalan, tilde_qcatalan
-from .qlaurent import ExactnessError
-from .report import METHODS, SUITES
+from .qring import ExactnessError
+from .report import METHODS, SUITES, TABLE_FREE_SUITES
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -59,6 +61,23 @@ def _json_text(data: object) -> str:
     import json
 
     return json.dumps(data, indent=2) + "\n"
+
+
+# One exponent point [q, x] as json.dumps(indent=2) lays it out in the
+# "points" list of the polytope document.
+_POINT_JSON = "    [\n      %d,\n      %d\n    ]"
+
+
+def _polytope_json(n: int, p) -> str:
+    """`_json_text({"n": n, **p.to_json()})` for a `NewtonPolytope` p, byte
+    for byte, with its points (there is at least one) written by one template
+    join.  With `indent` set, json.dumps runs its pure-Python encoder, which
+    took a third of a cold `polytope --n 50` and doubled the op's peak
+    memory."""
+    text = _json_text({"n": n, **p._replace(points=()).to_json()})
+    head, tail = text.split('"points": []', 1)
+    block = ",\n".join(map(_POINT_JSON.__mod__, p.points))
+    return "".join((head, '"points": [\n', block, "\n  ]", tail))
 
 
 # -- table --------------------------------------------------------------------
@@ -247,7 +266,7 @@ def cmd_polytope(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "svg":
         text = svg_polytope(p, title=f"P_{args.n} exponents")
     else:
-        text = _json_text({"n": args.n, **p.to_json()})
+        text = _polytope_json(args.n, p)
     return text, 0
 
 
@@ -323,6 +342,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.cache is not None and getattr(args, "suite", None) in TABLE_FREE_SUITES:
+            raise ValueError(
+                f"verify {args.suite} reads no ballot table, so it takes no --cache")
         stored = None  # table entries after loading an existing file
         if args.cache is not None and args.cache.exists():
             TABLE.load(str(args.cache))

@@ -36,18 +36,8 @@ from .qcore import (
     newton_horner,
     qbinom_coords,
 )
-from .qlaurent import (
-    ONE,
-    Q,
-    ZERO,
-    ExactnessError,
-    QLaurent,
-    QRatFunc,
-    RF_ONE,
-    RF_ZERO,
-    lowest_terms,
-    ql_divexact,
-)
+from .qlaurent import QRatFunc, RF_ONE, RF_ZERO, lowest_terms, ql_divexact
+from .qring import ONE, Q, ZERO, ExactnessError, QLaurent
 from .report import METHODS
 
 _Q_SQUARED = QLaurent.monomial(2)

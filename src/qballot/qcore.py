@@ -28,19 +28,14 @@ from operator import add, lshift, sub
 from typing import Iterable, Sequence, Union
 
 from .qlaurent import (
-    ONE,
-    Q,
-    ZERO,
-    ExactnessError,
-    QLaurent,
     QRatFunc,
     RF_ZERO,
     _coerce_ratfunc,
     _divexact_dense,
-    _run,
     lowest_terms,
     ql_divexact,
 )
+from .qring import ONE, Q, ZERO, ExactnessError, QLaurent, _run
 
 # A rational number is a QRatFunc over an integer denominator; a
 # fractions.Fraction is accepted wherever a scalar is and converted to one.

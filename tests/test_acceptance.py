@@ -25,7 +25,8 @@ from qballot.csequence import (
     theorem1_qbinom_coeffs,
 )
 from qballot.qcore import XPoly
-from qballot.qlaurent import ONE, Q, QLaurent, QRatFunc
+from qballot.qlaurent import QRatFunc
+from qballot.qring import ONE, Q, QLaurent
 
 
 class BudgetExceeded(Exception):

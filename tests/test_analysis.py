@@ -21,7 +21,8 @@ from qballot.analysis import (
 )
 from qballot.csequence import c_theorem1
 from qballot.qcore import XPoly, cyclotomic, q_factorial, q_int
-from qballot.qlaurent import ONE, Q, ZERO, QLaurent, QRatFunc
+from qballot.qlaurent import QRatFunc
+from qballot.qring import ONE, Q, ZERO, QLaurent
 
 # ---------------------------------------------------------------------------
 # numerator reports

@@ -26,7 +26,7 @@ from qballot.ballot import (
     tilde_f_paths,
     tilde_qcatalan,
 )
-from qballot.qlaurent import ONE, Q, ZERO, QLaurent
+from qballot.qring import ONE, Q, ZERO, QLaurent
 
 # ---------------------------------------------------------------------------
 # integer ballot numbers

@@ -21,8 +21,8 @@ import qballot.ballot as ballot_mod
 import qballot.cli as cli
 from qballot.ballot import BallotTable, qballot
 from qballot.cli import main
-from qballot.qlaurent import ONE, ExactnessError
-from qballot.report import CheckResult, SuiteReport
+from qballot.qring import ONE, ExactnessError
+from qballot.report import SUITES, CheckResult, SuiteReport
 
 # ---------------------------------------------------------------------------
 # tables
@@ -233,7 +233,7 @@ def test_conjecture_exit_one_on_failure(capsys, monkeypatch):
 
 
 def test_internal_exactness_error_exits_three(capsys, monkeypatch):
-    from qballot.qlaurent import ExactnessError
+    from qballot.qring import ExactnessError
 
     def broken(n):
         raise ExactnessError("remainder left")
@@ -453,6 +453,36 @@ def test_sweep_and_polytope_take_no_cache(tmp_path, argv):
     assert not cache.exists()
 
 
+def _suite_reads_no_table(suite):
+    # A fresh process, so that no memo left by an earlier suite hides a read.
+    code = (
+        "from qballot.analysis import run_suite\n"
+        "from qballot.ballot import TABLE\n"
+        f"run_suite({suite!r}, 4)\n"
+        "print(len(TABLE.known()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout == "0\n"
+
+
+def test_verify_refuses_cache_for_the_suites_that_read_no_table(tmp_path):
+    refused = set()
+    for suite in SUITES:
+        cache = tmp_path / f"{suite}.json"
+        code, out, err = _run_cold(["verify", suite, "--max-n", "4", "--cache", str(cache)])
+        if code == 2:
+            assert out == ""
+            assert err == f"qballot: verify {suite} reads no ballot table, so it takes no --cache\n"
+            assert not cache.exists()
+            refused.add(suite)
+        else:
+            assert code == 0 and cache.exists()
+    assert refused == {suite for suite in SUITES if _suite_reads_no_table(suite)}
+
+
 # ---------------------------------------------------------------------------
 # polytope export
 
@@ -475,6 +505,20 @@ def test_polytope_svg(capsys):
 def test_polytope_rejects_one(capsys):
     assert main(["polytope", "--n", "1"]) == 2
     assert "must be >= 2" in capsys.readouterr().err
+
+
+_POINT = st.tuples(st.integers(-(10**20), 10**20), st.integers(-3, 10**6))
+
+
+@given(n=st.integers(0, 10**6), points=st.lists(_POINT, min_size=1, max_size=8),
+       hull=st.lists(_POINT, max_size=8),
+       slopes=st.lists(st.fractions(), max_size=4))
+def test_polytope_json_writer_matches_json_dumps(n, points, hull, slopes):
+    p = analysis.NewtonPolytope(
+        tuple(points), tuple(hull), tuple(hull[:3]), tuple(hull[1:]), tuple(slopes)
+    )
+    want = json.dumps({"n": n, **p.to_json()}, indent=2) + "\n"
+    assert cli._polytope_json(n, p) == want
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ from qballot.qcore import (
     subst_affine,
     to_qbinom_basis,
 )
-from qballot.qlaurent import ONE, Q, RF_ZERO, ExactnessError, QLaurent, QRatFunc
+from qballot.qlaurent import RF_ZERO, QRatFunc
+from qballot.qring import ONE, Q, ExactnessError, QLaurent
 
 # ---------------------------------------------------------------------------
 # hardcoded small members

@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports, none imports
 `fractions` at module scope, and only `qlaurent` and the `analysis` oracle
-bind `poly_gcd`; only `report` and `analysis` bind the suite types.
+bind `poly_gcd`; only `report` and `analysis` bind the suite types; and the
+ring module `qring` imports nothing from the package.
 
 A name counts as used when it is read anywhere in the module, annotations
 included.  `__init__.py` is checked too: it loads its exports on first use
@@ -90,6 +91,19 @@ def test_checker_sees_an_unused_import():
     assert unused_imports(used) == []
     unread = "def dump(x):\n    import json\n\n    return str(x)\n"
     assert unused_imports(unread) == ["line 2: json"]
+
+
+def test_the_ring_is_a_leaf():
+    # `qring` imports nothing from the package, so the ballot commands that
+    # run on the ring alone compile nothing else of it.
+    tree = ast.parse((SRC / "qring.py").read_text())
+    package = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qballot"))
+        or isinstance(node, ast.Import) and any(a.name.startswith("qballot") for a in node.names)
+    ]
+    assert package == []
 
 
 def bound_names(source: str) -> set[str]:

@@ -8,18 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qballot.qlaurent import (
-    ONE,
-    Q,
     RF_ONE,
     RF_ZERO,
-    ZERO,
-    ExactnessError,
-    QLaurent,
     QRatFunc,
     lowest_terms,
     poly_gcd,
     ql_divexact,
 )
+from qballot.qring import ONE, Q, ZERO, ExactnessError, QLaurent
 import qballot.qcore as qcore
 import qballot.qlaurent as qlaurent
 from qballot.csequence import c_theorem1

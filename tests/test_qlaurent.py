@@ -7,18 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qballot.qlaurent import (
-    ONE,
-    Q,
     RF_ONE,
     RF_ZERO,
-    ZERO,
-    ExactnessError,
-    QLaurent,
     QRatFunc,
     lowest_terms,
     poly_gcd,
     ql_divexact,
 )
+from qballot.qring import ONE, Q, ZERO, ExactnessError, QLaurent
 
 # ---------------------------------------------------------------------------
 # strategies

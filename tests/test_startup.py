@@ -5,13 +5,16 @@ loads, every op pays for.  The CLI loads no `dataclasses` (which brings
 `inspect` with it), and loads `json` and `csv` only where an op's output or
 its --cache file needs them.  Of the package, a bare `import qballot` loads
 no module, and the CLI loads `analysis`, `csequence` and `qcore` only for the
-commands that run them.  Coefficients are ints, so the ballot ops and the
-conjecture sweep load no `fractions` (nor `decimal` and `numbers`, which it
-brings).  The ops that do need them are run cold here too,
-and the conjecture sweep, split over forked children, loads no process-pool
-or pickling module.  A cold process enters through `run()`, which freezes the
-collector after `main()` so that interpreter finalization has nothing to scan;
-in-process callers of `main()` keep theirs.  A cold `conjecture` or `polytope`
+commands that run them.  Of the arithmetic, the CLI and the ballot ops load
+the ring module `qring` alone, not `qlaurent` with its gcd and fraction
+field, and `from qballot import QLaurent` loads only the ring.
+Coefficients are ints, so the ballot ops and the conjecture sweep load no
+`fractions` (nor `decimal` and `numbers`, which it brings).  The ops that do
+need them are run cold here too, and the conjecture sweep, split over
+forked children, loads no process-pool or pickling module.  A cold process
+enters through `run()`, which freezes the collector after `main()` so that
+interpreter finalization has nothing to scan; in-process callers of `main()`
+keep theirs.  A cold `conjecture` or `polytope`
 fills no ballot table, and a cold run that runs out of memory exits 4 with
 one line on stderr.
 """
@@ -77,6 +80,17 @@ def test_cli_start_up_loads_no_heavy_module():
     assert added & HEAVY == set()
 
 
+def test_cli_start_up_loads_the_ring_but_not_the_fraction_field():
+    added = _loaded("import qballot.cli; qballot.cli.build_parser()") - _loaded("pass")
+    assert "qballot.qring" in added
+    assert "qballot.qlaurent" not in added
+
+
+def test_package_ring_names_load_only_the_ring():
+    added = _loaded("from qballot import QLaurent") - _loaded("pass")
+    assert {m for m in added if m.startswith("qballot.")} == {"qballot.qring"}
+
+
 def _imported(stderr: str) -> set[str]:
     # -X importtime writes "import time: self | cumulative | name" lines
     return {
@@ -102,6 +116,25 @@ def test_ballot_ops_import_no_heavy_module(argv):
     assert "qballot.ballot" in names
     assert names & HEAVY == set()
     assert names & RATIONAL == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ballot", "--n", "6", "--k", "4", "--format", "json"],
+        ["table", "2", "--max-n", "4", "--format", "csv"],
+        ["catalan", "--max-n", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_ballot_ops_compile_only_the_ring(argv):
+    # the gcd, exact division and QRatFunc live in `qlaurent`, which these
+    # ops never run
+    proc = _run("-X", "importtime", "-m", "qballot.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    names = _imported(proc.stderr)
+    assert "qballot.qring" in names
+    assert "qballot.qlaurent" not in names
 
 
 def _in_process(argv):

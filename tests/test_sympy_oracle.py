@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from qballot.csequence import c_family
 from qballot.qcore import cyclotomic, gauss_binom
-from qballot.qlaurent import RF_ZERO, QLaurent, QRatFunc, _divexact_dense, poly_gcd
+from qballot.qlaurent import RF_ZERO, QRatFunc, _divexact_dense, poly_gcd
+from qballot.qring import QLaurent
 from qballot.report import METHODS
 
 sympy = pytest.importorskip("sympy")
