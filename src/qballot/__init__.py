@@ -31,8 +31,8 @@ _HOMES = {
     "qcatalan": "ballot",
     "run_suite": "analysis",
     "svg_polytope": "analysis",
-    "theorem1_columns": "csequence",
-    "theorem1_numerator": "analysis",
+    "theorem1_columns": "sweep",
+    "theorem1_numerator": "sweep",
     "theorem1_qbinom_coeffs": "csequence",
     "to_qbinom_basis": "qcore",
 }
@@ -41,6 +41,7 @@ __all__ = sorted(_HOMES)
 
 _SUBMODULES = (
     "analysis", "ballot", "cli", "csequence", "qcore", "qlaurent", "qring", "report",
+    "sweep",
 )
 
 

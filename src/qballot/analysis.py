@@ -4,9 +4,13 @@ Clearing the denominator [1]_q...[n-1]_q from C_n(x|q) yields a candidate
 polynomial P_n(x, q).  The checker records, per n, whether P_n really is a
 polynomial, whether the fraction P_n / [1]_q...[n-1]_q is irreducible, and
 whether every coefficient is positive — all as report fields, never
-exceptions.  The Newton polytope of P_n (q-exponent horizontal, x-exponent
-vertical) is computed with exact integer arithmetic; the upper hull's
-slopes, read as dq/dx, come out as the odd integers 1, 3, ..., 2n-3.
+exceptions.  The report and the route that reads it straight off the
+Theorem 1 columns (`theorem1_numerator`, and the conjecture sweep over it)
+live in the leaf `sweep`, which a cold `conjecture` runs alone; `numerator`
+here is the oracle that clears the denominator of any C_n.  The Newton
+polytope of P_n (q-exponent horizontal, x-exponent vertical) is computed
+with exact integer arithmetic; the upper hull's slopes, read as dq/dx, come
+out as the odd integers 1, 3, ..., 2n-3.
 
 ``run_suite`` aggregates every invariant in the package into named,
 CLI-addressable verification suites; their names are ``report.SUITES``.
@@ -33,7 +37,6 @@ from .csequence import (
     c_recurrence,
     c_shifted_theorem1,
     c_theorem1,
-    theorem1_columns,
 )
 from .qcore import (
     XPoly,
@@ -42,44 +45,23 @@ from .qcore import (
     q_factorial,
     q_int,
     q_stirling,
-    qfactorial_coprime,
     subst_affine,
     to_qbinom_basis,
 )
 from .qlaurent import QRatFunc, RF_ONE, RF_ZERO, poly_gcd, ql_divexact
 from .qring import ONE, Q, ZERO, ExactnessError, QLaurent
 from .report import SUITES, CheckResult, SuiteReport
+from .sweep import (
+    NumeratorReport,
+    _conjecture_rows,
+    _numerator_report,
+    theorem1_numerator,
+)
 
 if TYPE_CHECKING:  # annotations only: importing fractions loads decimal
     from fractions import Fraction
 
 # -- numerator reports --------------------------------------------------------
-
-
-class NumeratorReport(NamedTuple):
-    """P_n = [1]_q...[n-1]_q * C_n(x|q), column per x-degree.
-
-    When the denominator does not clear, the columns are those of
-    [n-1]_q! * C_n over the leftover shared denominator (which the report
-    does not carry); the flags are the authority.
-    ``coefficient_stats[k]`` is the (min, max) q-exponent of column k.
-    """
-
-    n: int
-    numerator: tuple[QLaurent, ...]
-    denominator: QLaurent
-    is_polynomial: bool
-    is_irreducible_fraction: bool
-    all_coeffs_positive: bool
-    coefficient_stats: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.is_polynomial
-            and self.is_irreducible_fraction
-            and self.all_coeffs_positive
-        )
 
 
 def numerator(n: int, c: XPoly) -> NumeratorReport:
@@ -93,120 +75,6 @@ def numerator(n: int, c: XPoly) -> NumeratorReport:
     scale = ql_divexact(den, g)
     cols = tuple(col * scale for col in c.nums)
     return _numerator_report(n, cols, den, g == c.den)
-
-
-def theorem1_numerator(n: int) -> NumeratorReport:
-    """The report on P_n read straight off the Theorem 1 columns of
-    [n-1]_q! C_n(x|q), with no reduction to C_n and no multiplying back.
-
-    `theorem1_columns` keeps nothing, so a sweep holds one column set at a
-    time."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cols = theorem1_columns(n - 1)
-    return _numerator_report(n, cols, q_factorial(n - 1), True)
-
-
-def _numerator_report(
-    n: int, cols: tuple[QLaurent, ...], den: QLaurent, cleared: bool
-) -> NumeratorReport:
-    # cleared: every column is an exact multiple, i.e. den * C_n has no
-    # leftover denominator.
-    is_poly = cleared and all(col.is_zero or col.min_exp >= 0 for col in cols)
-
-    irreducible = qfactorial_coprime(cols, n - 1)
-
-    # Every term of P_n is positive iff no coefficient of a run is
-    # negative: the zeros inside a run are not terms.
-    positive = all(min(col.cs, default=0) >= 0 for col in cols)
-
-    stats = tuple(
-        (0, 0) if col.is_zero else (col.min_exp, col.max_exp) for col in cols
-    )
-    return NumeratorReport(
-        n=n,
-        numerator=cols,
-        denominator=den,
-        is_polynomial=is_poly,
-        is_irreducible_fraction=irreducible,
-        all_coeffs_positive=positive,
-        coefficient_stats=stats,
-    )
-
-
-def _conjecture_rows(ns: list[int]) -> list[tuple]:
-    """For each n of the ascending list ns, the fields of
-    theorem1_numerator(n) that the sweep prints: (n, is_polynomial,
-    is_irreducible_fraction, all_coeffs_positive, coefficient_stats).
-
-    The n are split over one process per available CPU.  Sorted largest
-    first, they are dealt round-robin; this process keeps the first share,
-    and each forked child sends its rows back through a pipe as marshal
-    data.  Any fault (an error here, a child that exits nonzero, or rows
-    whose n are not the child's share) kills and reaps every child, then
-    reruns every n here, so the output, or the first error raised, is the
-    serial run's.  With one CPU, no os.fork, or a second live thread (a
-    child could inherit one of its locks held), the sweep runs serially.
-    """
-    import marshal
-    import os
-    import threading
-
-    def rows(share: list[int]) -> list[tuple]:
-        return [
-            (r.n, r.is_polynomial, r.is_irreducible_fraction,
-             r.all_coeffs_positive, r.coefficient_stats)
-            for r in map(theorem1_numerator, share)
-        ]
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # the platform has no affinity mask
-        cpus = os.cpu_count() or 1
-    k = min(cpus, len(ns))
-    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return rows(ns)
-    shares = [sorted(ns, reverse=True)[i::k] for i in range(k)]
-    children: list[tuple[int, int]] = []  # pid, read end of its pipe
-    done = None  # all the rows, once every share's have arrived with the right n
-    try:
-        for share in shares[1:]:
-            fd, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(fd)
-                os.close(w)
-                raise
-            if pid == 0:  # the child: send its rows, and never return
-                code = 1
-                try:
-                    os.close(fd)
-                    with open(w, "wb") as pipe:
-                        pipe.write(marshal.dumps(rows(share)))
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(w)
-            children.append((pid, fd))
-        got = rows(shares[0])
-        for _, fd in children:
-            with open(fd, "rb", closefd=False) as pipe:
-                got += marshal.loads(pipe.read())
-        if [row[0] for row in got] == [n for share in shares for n in share]:
-            done = got
-    except Exception:
-        pass  # below, once no child is left, the serial rerun raises it again
-    finally:
-        for pid, fd in children:
-            os.close(fd)
-            if done is None:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-            if os.waitpid(pid, 0)[1]:
-                done = None
-    return rows(ns) if done is None else sorted(done)
 
 
 # -- Newton polytopes ---------------------------------------------------------

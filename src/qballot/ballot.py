@@ -13,6 +13,9 @@ this module is a reading of the same table: column sums give the q-Catalan
 polynomials, the reversed statistic A' (cells between the path and the
 staircase ceiling min(y=x, y=k)) gives the tilde family.
 
+The integer ballot numbers themselves, `ballot(n, k)`, are defined in the
+ring module `qring` and imported here.
+
 Exhaustive path enumeration is kept alongside the recurrence as an
 independent oracle.  Every path meets the anti-diagonal x + y = (n+k)//2
 at one point, so the prefixes up to it and the suffixes from it are
@@ -30,7 +33,7 @@ import threading
 from math import comb
 from typing import Optional
 
-from .qring import ONE, ZERO, ExactnessError, QLaurent, _raw
+from .qring import ONE, ZERO, ExactnessError, QLaurent, _raw, ballot
 
 DEFAULT_PATH_CAP = 26
 
@@ -47,15 +50,6 @@ def path_cap() -> int:
     if cap < 0:
         raise ValueError(f"QBALLOT_PATH_CAP must be >= 0, got {raw!r}")
     return cap
-
-
-def ballot(n: int, k: int) -> int:
-    """The ballot number (n-k+1)/(n+1) * C(n+k, k), an integer; 0 for k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("ballot needs n, k >= 0")
-    if k > n:
-        return 0
-    return (n - k + 1) * comb(n + k, k) // (n + 1)
 
 
 # A row f(n, k | q), k <= n, is stored as its QLaurent: the dense run of

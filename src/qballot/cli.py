@@ -5,27 +5,30 @@ run named verification suites, sweep the positivity conjecture, and export
 Newton polytopes.  Output is deterministic: the same flags always produce
 byte-identical text/JSON/CSV (SVG carries one fixed generator comment).
 Each cmd_* function returns its output text and exit code; main() loads the
---cache file before it, saves the file after it when the file is new or the
-table grew, and then writes the text.  Only the commands that can read the
-ballot table (table, ballot, catalan, cx and verify) take --cache, and
-verify refuses it for the suites in ``report.TABLE_FREE_SUITES``.
+--cache file before it, saves the file after it when the run added table
+entries (a missing file counts as holding none), and then writes the text.
+Only the commands that can read the ballot table (table, ballot, catalan, cx
+and verify) take --cache, and verify refuses it for the suites in
+``report.TABLE_FREE_SUITES``.
 
 Every op is a cold process, so start-up is kept small: importing this
 module loads no ``dataclasses``, and ``json``/``csv`` are imported only by
 the code that writes ``--format json|csv`` or reads and writes ``--cache``.
-Of the package it loads only ``ballot``, the ring module ``qring`` and
-``report``, which is all that ``table``, ``ballot`` and ``catalan`` run;
-``cx``, ``verify``, ``conjecture`` and ``polytope`` import ``csequence``,
-``qcore`` and ``analysis`` inside their cmd_* function, and those bring the
-gcd and the fraction field, ``qlaurent``.  Coefficients are ints, and only
-the functions that return a Fraction import ``fractions`` (which loads
-``decimal`` and ``numbers``), so only ``polytope`` and ``verify polytope``
-load it, for the hull slopes.  A process runs ``run()``, which
-calls ``main()`` and then ``gc.freeze()`` before it exits: interpreter
-finalization would otherwise run full collections over every object the
-run left behind, the site-loaded modules and qballot's tables and columns,
-only for the process to end.  ``main()`` itself has no such side effect, so
-in-process callers keep a normal collector.
+Of the package it loads only the ring module ``qring`` and ``report``, and
+each cmd_* function imports what it runs: ``table``, ``ballot`` and
+``catalan`` (and a ``--cache`` run) the q-ballot table ``ballot``;
+``conjecture`` the leaf ``sweep``, with the column helpers of ``qcore`` and
+the gcd and fraction field, ``qlaurent``, under it; ``cx`` ``csequence``;
+and ``verify`` and ``polytope`` ``analysis``, which brings all of those.
+Coefficients are ints, and only the functions that return a Fraction import
+``fractions`` (which loads ``decimal`` and ``numbers``), so only
+``polytope`` and ``verify polytope`` load it, for the hull slopes.  A
+process runs ``run()``, which calls ``main()`` and then ``gc.freeze()``
+before it exits: interpreter finalization would otherwise run full
+collections over every object the run left behind, the site-loaded modules
+and qballot's tables and columns, only for the process to end.  ``main()``
+itself has no such side effect, so in-process callers keep a normal
+collector.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, 3 internal error (an exact division that theory
@@ -42,8 +45,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
-from .ballot import TABLE, ballot, qballot, qcatalan, tilde_qcatalan
-from .qring import ExactnessError
+from .qring import ExactnessError, ballot
 from .report import METHODS, SUITES, TABLE_FREE_SUITES
 
 
@@ -87,6 +89,8 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 0:
         raise ValueError("--max-n must be >= 0")
+    from .ballot import qballot
+
     if args.which == 1:
         entries = [[ballot(n, k) for k in range(n + 1)] for n in range(maxn + 1)]
     else:
@@ -116,6 +120,8 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_ballot(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 0 or args.k < 0:
         raise ValueError("--n and --k must be >= 0")
+    from .ballot import qballot
+
     poly = qballot(args.n, args.k)
     plain = ballot(args.n, args.k)
     if args.format == "json":
@@ -139,6 +145,8 @@ def cmd_catalan(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 0:
         raise ValueError("--max-n must be >= 0")
+    from .ballot import qcatalan, tilde_qcatalan
+
     rows = [
         (n, str(qcatalan(n)), str(tilde_qcatalan(n))) for n in range(maxn + 1)
     ]
@@ -218,7 +226,7 @@ def cmd_conjecture(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 2:
         raise ValueError("--max-n must be >= 2")
-    from .analysis import _conjecture_rows
+    from .sweep import _conjecture_rows
 
     rows = _conjecture_rows(list(range(2, maxn + 1)))
     ok = all(poly and irr and pos for _, poly, irr, pos, _ in rows)
@@ -260,7 +268,8 @@ def cmd_conjecture(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_polytope(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 2:
         raise ValueError("--n must be >= 2 (P_1 is a single point)")
-    from .analysis import newton_polytope, svg_polytope, theorem1_numerator
+    from .analysis import newton_polytope, svg_polytope
+    from .sweep import theorem1_numerator
 
     p = newton_polytope(theorem1_numerator(args.n))
     if args.format == "svg":
@@ -342,17 +351,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cache is not None and getattr(args, "suite", None) in TABLE_FREE_SUITES:
-            raise ValueError(
-                f"verify {args.suite} reads no ballot table, so it takes no --cache")
-        stored = None  # table entries after loading an existing file
-        if args.cache is not None and args.cache.exists():
-            TABLE.load(str(args.cache))
-            stored = len(TABLE.known())
+        if args.cache is not None:
+            if getattr(args, "suite", None) in TABLE_FREE_SUITES:
+                raise ValueError(
+                    f"verify {args.suite} reads no ballot table, so it takes no --cache")
+            from .ballot import TABLE
+
+            stored = 0  # table entries after loading the file; a missing one holds none
+            if args.cache.exists():
+                TABLE.load(str(args.cache))
+                stored = len(TABLE.known())
         text, code = args.fn(args)
-        # Saved even when a verification failed (code 1), and before any
-        # output is written, so a failed save leaves no partial result.
-        if args.cache is not None and len(TABLE.known()) != stored:
+        # Saved only when the table grew, even when a verification failed
+        # (code 1), and before any output is written, so a failed save
+        # leaves no partial result.
+        if args.cache is not None and len(TABLE.known()) > stored:
             TABLE.save(str(args.cache))
         if args.out is None:
             if sys.stdout is None:  # the process was started with fd 1 closed

@@ -9,7 +9,9 @@ independent constructions are provided:
   antidifference is a reindexing; the free constant comes from the
   vanishing condition.
 * ``c_theorem1`` — closed-form expansion whose q-binomial coefficients
-  are reversed weighted-ballot polynomials.
+  are reversed weighted-ballot polynomials.  Its integer columns,
+  ``theorem1_columns``, live in the leaf ``sweep`` with the conjecture
+  sweep that reads them; here they are reduced over [n]_q!.
 * ``c_recurrence`` — a three-term-with-tail recurrence whose division by
   [n]_q must be exact (checked; a failure would mean an internal bug).
 
@@ -25,20 +27,19 @@ from functools import cache
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .ballot import ballot, tilde_f, tilde_qcatalan
+from .ballot import tilde_f, tilde_qcatalan
 from .qcore import (
     XPoly,
     _subst_laurent,
-    column_bytes,
     columns_over_qfactorial,
     from_qbinom_coords,
     q_int,
-    newton_horner,
     qbinom_coords,
 )
 from .qlaurent import QRatFunc, RF_ONE, RF_ZERO, lowest_terms, ql_divexact
 from .qring import ONE, Q, ZERO, ExactnessError, QLaurent
 from .report import METHODS
+from .sweep import theorem1_columns
 
 _Q_SQUARED = QLaurent.monomial(2)
 _ONE_PLUS_Q = ONE + Q
@@ -172,43 +173,6 @@ def theorem1_qbinom_coeffs(n: int) -> tuple[QLaurent, ...]:
     if n < 0:
         raise ValueError("n must be >= 0")
     return tuple(tilde_f(n + j, n - j).shifted(j * j) for j in range(n + 1))
-
-
-def theorem1_columns(n: int) -> tuple[QLaurent, ...]:
-    """The integer x-columns of [n]_q! C_{n+1}(x|q), lowest x-degree first.
-
-    These are the columns of the numerator P_{n+1}; C_{n+1} itself is their
-    quotient by the one shared denominator [n]_q!.  They are
-    `qbinom_columns(theorem1_qbinom_coeffs(n))`, computed without the
-    ballot table: one rolling pass of the recurrence for A',
-
-        tilde_f(m, k) = q^(m-k) tilde_f(m, k-1) + tilde_f(m-1, k),
-        tilde_f(m, 0) = 1,
-
-    works on integers packed at q = 2^w, the width `newton_horner` needs.
-    Every tilde_f has lowest term q^0 and positive coefficients, so its L1
-    norm is the ballot number it counts, and q -> 2^w is a ring map, so the
-    packed rows need not fit in w-bit digits.  Row m keeps k <= 2n - m,
-    which is all that rows above it read, and at m = n + j its last entry
-    is tilde_f(n+j, n-j), coordinate j before its shift by q^(j^2).
-
-    Nothing is kept between calls, so a sweep holds one column set at a
-    time; `c_theorem1` keeps their reduction over [n]_q!.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    nbytes = column_bytes([ballot(n + j, n - j) for j in range(n + 1)])
-    w = 8 * nbytes
-    row: list[int] = []
-    bs = []
-    for m in range(2 * n + 1):
-        new = [1]
-        for k in range(1, min(m, 2 * n - m) + 1):
-            new.append((new[-1] << (m - k) * w) + (row[k] if k < m else 0))
-        row = new
-        if m >= n:
-            bs.append(row[-1] << (m - n) ** 2 * w)
-    return newton_horner(bs, 0, nbytes)
 
 
 @cache

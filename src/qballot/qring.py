@@ -17,6 +17,12 @@ builds are monomials and q^d - 1 inside `cyclotomic`.  Values are immutable
 and hashable; equality is structural, which is sound because construction
 always canonicalizes.
 
+The integer ballot number `ballot(n, k)` is defined here too, beside the
+ring rather than with the q-ballot table in `ballot`: the Theorem 1 columns
+(`sweep`) read it to size their packed integers, so a cold `conjecture`
+compiles no table, and `ballot` imports it back for the check of a
+`--cache` file.
+
 This module is a leaf: it imports nothing from the package.  The ballot
 commands (`ballot`, `table`, `catalan`) run on this ring alone, so a cold
 process that runs one compiles neither the gcd nor the fraction field.
@@ -25,6 +31,7 @@ process that runs one compiles neither the gcd nor the fraction field.
 from __future__ import annotations
 
 from itertools import repeat
+from math import comb
 from math import gcd as _int_gcd
 from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
@@ -332,3 +339,12 @@ _ONE = _raw(0, (1,))
 Q = _raw(1, (1,))
 ZERO = _ZERO
 ONE = _ONE
+
+
+def ballot(n: int, k: int) -> int:
+    """The ballot number (n-k+1)/(n+1) * C(n+k, k), an integer; 0 for k > n."""
+    if n < 0 or k < 0:
+        raise ValueError("ballot needs n, k >= 0")
+    if k > n:
+        return 0
+    return (n - k + 1) * comb(n + k, k) // (n + 1)

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import qballot.analysis as analysis
 import qballot.ballot as ballot_mod
 import qballot.cli as cli
+import qballot.sweep as sweep
 from qballot.ballot import BallotTable, qballot
 from qballot.cli import main
 from qballot.qring import ONE, ExactnessError
@@ -226,7 +227,7 @@ def test_conjecture_exit_one_on_failure(capsys, monkeypatch):
         all_coeffs_positive=True,
         coefficient_stats=((0, 0),),
     )
-    monkeypatch.setattr(analysis, "theorem1_numerator", lambda n: bad)
+    monkeypatch.setattr(sweep, "theorem1_numerator", lambda n: bad)
     assert main(["conjecture", "--max-n", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -238,7 +239,7 @@ def test_internal_exactness_error_exits_three(capsys, monkeypatch):
     def broken(n):
         raise ExactnessError("remainder left")
 
-    monkeypatch.setattr(analysis, "theorem1_numerator", broken)
+    monkeypatch.setattr(sweep, "theorem1_numerator", broken)
     assert main(["conjecture", "--max-n", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -317,14 +318,14 @@ def test_split_sweep_prints_the_serial_output(argv, capsys, sweep_cpus):
 
 def test_split_sweep_keeps_the_largest_n(monkeypatch, sweep_cpus, capsys):
     parent, seen = os.getpid(), []
-    real = analysis.theorem1_numerator
+    real = sweep.theorem1_numerator
 
     def record(n):
         if os.getpid() == parent:
             seen.append(n)
         return real(n)
 
-    monkeypatch.setattr(analysis, "theorem1_numerator", record)
+    monkeypatch.setattr(sweep, "theorem1_numerator", record)
     sweep_cpus(3)
     assert main(SWEEP) == 0
     assert seen == [9, 6, 3]  # 9, 8, ..., 2 dealt round-robin to 3 shares
@@ -334,14 +335,14 @@ def test_split_sweep_keeps_the_largest_n(monkeypatch, sweep_cpus, capsys):
 def test_failed_child_share_is_recomputed(monkeypatch, sweep_cpus, capsys):
     serial = _serial(capsys, sweep_cpus, SWEEP)
     parent = os.getpid()
-    real = analysis.theorem1_numerator
+    real = sweep.theorem1_numerator
 
     def in_parent_only(n):
         if os.getpid() != parent:
             raise ExactnessError("fault in a child")
         return real(n)
 
-    monkeypatch.setattr(analysis, "theorem1_numerator", in_parent_only)
+    monkeypatch.setattr(sweep, "theorem1_numerator", in_parent_only)
     forks = sweep_cpus(3)
     assert (main(SWEEP), capsys.readouterr()) == serial
     assert len(forks) == 2
@@ -375,14 +376,14 @@ def test_child_rows_that_miss_the_share_are_recomputed(
 def test_sweep_error_is_the_serial_error(bad, exc, monkeypatch, sweep_cpus, capsys):
     # With 2 workers the parent's share is 9, 7, 5, 3 and the child's
     # 8, 6, 4, 2; the serial run raises at the smallest bad n.
-    real = analysis.theorem1_numerator
+    real = sweep.theorem1_numerator
 
     def broken(n):
         if n in bad:
             raise exc(f"bad n={n}")
         return real(n)
 
-    monkeypatch.setattr(analysis, "theorem1_numerator", broken)
+    monkeypatch.setattr(sweep, "theorem1_numerator", broken)
     serial = _serial(capsys, sweep_cpus, SWEEP)
     assert serial[0] == (3 if exc is ExactnessError else 2)
     assert serial[1].err.endswith(f"bad n={min(bad)}\n")
@@ -469,10 +470,13 @@ def _suite_reads_no_table(suite):
 
 
 def test_verify_refuses_cache_for_the_suites_that_read_no_table(tmp_path):
+    # Each in a fresh process: a C_n family grown by an earlier test in this
+    # one would leave a table-reading suite with no row to add, and no file.
     refused = set()
     for suite in SUITES:
         cache = tmp_path / f"{suite}.json"
-        code, out, err = _run_cold(["verify", suite, "--max-n", "4", "--cache", str(cache)])
+        proc = _cli("verify", suite, "--max-n", "4", "--cache", str(cache))
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
         if code == 2:
             assert out == ""
             assert err == f"qballot: verify {suite} reads no ballot table, so it takes no --cache\n"
@@ -671,13 +675,23 @@ def test_cache_saved_only_when_the_table_grows(tmp_path):
     assert grown.st_size > stored.st_size
 
 
+def test_cache_written_only_by_a_run_that_adds_rows(tmp_path):
+    # verify thm2 reads the ballot table only from --max-n 3, so this run
+    # adds no row and leaves no file; a ballot lookup then writes one
+    cache = tmp_path / "new.json"
+    proc = _cli("verify", "thm2", "--max-n", "2", "--cache", str(cache))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert not cache.exists()
+    assert _cli("ballot", "--n", "6", "--k", "4", "--cache", str(cache)).returncode == 0
+    assert cache.exists()
+
+
 def _run_cold(argv):
     """main(argv) on an empty memo table, as in a fresh process: the run sees
     no entry that the cache file did not provide.  Returns (code, out, err)."""
     table = BallotTable()
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(ballot_mod, "TABLE", table), \
-            mock.patch.object(cli, "TABLE", table), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()

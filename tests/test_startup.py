@@ -4,19 +4,22 @@ Every op runs in a fresh interpreter, so whatever `import qballot.cli`
 loads, every op pays for.  The CLI loads no `dataclasses` (which brings
 `inspect` with it), and loads `json` and `csv` only where an op's output or
 its --cache file needs them.  Of the package, a bare `import qballot` loads
-no module, and the CLI loads `analysis`, `csequence` and `qcore` only for the
-commands that run them.  Of the arithmetic, the CLI and the ballot ops load
-the ring module `qring` alone, not `qlaurent` with its gcd and fraction
-field, and `from qballot import QLaurent` loads only the ring.
-Coefficients are ints, so the ballot ops and the conjecture sweep load no
-`fractions` (nor `decimal` and `numbers`, which it brings).  The ops that do
-need them are run cold here too, and the conjecture sweep, split over
-forked children, loads no process-pool or pickling module.  A cold process
-enters through `run()`, which freezes the collector after `main()` so that
-interpreter finalization has nothing to scan; in-process callers of `main()`
-keep theirs.  A cold `conjecture` or `polytope`
-fills no ballot table, and a cold run that runs out of memory exits 4 with
-one line on stderr.
+no module, and the CLI loads each module only for the commands that run
+it: the q-ballot table `ballot` for `table`, `ballot` and `catalan`, and
+`analysis`, `csequence` and `qcore` for the commands that run them.  A cold
+`conjecture` compiles the leaf `sweep`, with the `qcore` column helpers
+under it, and none of `analysis`, `csequence` or `ballot`.  Of the
+arithmetic, the CLI and the ballot ops load the ring module `qring` alone,
+not `qlaurent` with its gcd and fraction field, and
+`from qballot import QLaurent` loads only the ring.  Coefficients are
+ints, so the ballot ops and the conjecture sweep load no `fractions` (nor
+`decimal` and `numbers`, which it brings).  The ops that do need them are
+run cold here too, and the conjecture sweep, split over forked children,
+loads no process-pool or pickling module.  A cold process enters through
+`run()`, which freezes the collector after `main()` so that interpreter
+finalization has nothing to scan; in-process callers of `main()` keep
+theirs.  A cold `conjecture` or `polytope` fills no ballot table, and a
+cold run that runs out of memory exits 4 with one line on stderr.
 """
 
 import ast
@@ -76,8 +79,10 @@ def test_bare_package_import_loads_no_submodule():
 
 def test_cli_start_up_loads_no_heavy_module():
     added = _loaded("import qballot.cli; qballot.cli.build_parser()") - _loaded("pass")
-    assert "qballot.ballot" in added
+    assert "qballot.report" in added
     assert added & HEAVY == set()
+    # only the commands that read the q-ballot table import it
+    assert "qballot.ballot" not in added
 
 
 def test_cli_start_up_loads_the_ring_but_not_the_fraction_field():
@@ -184,11 +189,14 @@ def test_cache_build_then_lookup_in_cold_processes(tmp_path):
 
 
 def test_conjecture_sweep_imports_no_process_pool():
-    # the split sweep forks with os and sends rows with marshal
+    # the split sweep forks with os and sends rows with marshal; its columns
+    # and flags live in the leaf `sweep`, so it compiles no ballot table, no
+    # other C_n construction and no suite
     proc = _run("-X", "importtime", "-m", "qballot.cli", "conjecture", "--max-n", "5")
     assert proc.returncode == 0, proc.stderr
     names = _imported(proc.stderr)
-    assert "qballot.analysis" in names
+    assert "qballot.sweep" in names
+    assert names & {"qballot.analysis", "qballot.csequence", "qballot.ballot"} == set()
     top = {name.split(".")[0] for name in names}
     assert top & {"multiprocessing", "concurrent", "pickle", "subprocess"} == set()
     assert names & RATIONAL == set()
