@@ -4,19 +4,17 @@ Subcommands reproduce the ballot-number tables and polynomial displays,
 run named verification suites, sweep the positivity conjecture, and export
 Newton polytopes.  Output is deterministic: the same flags always produce
 byte-identical text/JSON/CSV (SVG carries one fixed generator comment).
-Each cmd_* function returns its output text and exit code; main() loads the
---cache file before it, saves the file after it when the run added table
-entries (a missing file counts as holding none), and then writes the text.
-Only the commands that can read the ballot table (table, ballot, catalan, cx
-and verify) take --cache, and verify refuses it for the suites in
-``report.TABLE_FREE_SUITES``.
+Each cmd_* function returns its output text and exit code, and main()
+writes the text.  Only ``ballot`` takes --cache: cmd_ballot loads the file
+before its lookup (a missing file counts as holding none) and saves it
+before returning, only when the lookup added table entries.
 
 Every op is a cold process, so start-up is kept small: importing this
 module loads no ``dataclasses``, and ``json``/``csv`` are imported only by
 the code that writes ``--format json|csv`` or reads and writes ``--cache``.
 Of the package it loads only the ring module ``qring`` and ``report``, and
 each cmd_* function imports what it runs: ``table``, ``ballot`` and
-``catalan`` (and a ``--cache`` run) the q-ballot table ``ballot``;
+``catalan`` the q-ballot table ``ballot``;
 ``conjecture`` the leaf ``sweep``, with the column helpers of ``qcore`` and
 the gcd and fraction field, ``qlaurent``, under it; ``cx`` ``csequence``;
 and ``verify`` and ``polytope`` ``analysis``, which brings all of those.
@@ -46,7 +44,7 @@ from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
 from .qring import ExactnessError, ballot
-from .report import METHODS, SUITES, TABLE_FREE_SUITES
+from .report import METHODS, SUITES
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -118,10 +116,14 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_ballot(args: argparse.Namespace) -> tuple[str, int]:
+    from .ballot import TABLE, qballot
+
+    stored = 0  # table entries after loading the file; a missing one holds none
+    if args.cache is not None and args.cache.exists():
+        TABLE.load(str(args.cache))
+        stored = len(TABLE.known())
     if args.n < 0 or args.k < 0:
         raise ValueError("--n and --k must be >= 0")
-    from .ballot import qballot
-
     poly = qballot(args.n, args.k)
     plain = ballot(args.n, args.k)
     if args.format == "json":
@@ -138,6 +140,10 @@ def cmd_ballot(args: argparse.Namespace) -> tuple[str, int]:
         text = _csv_text(("n", "k", "polynomial"), [(args.n, args.k, str(poly))])
     else:
         text = f"f({args.n},{args.k}|q) = {poly}\nf({args.n},{args.k}) = {plain}\n"
+    # Saved only when the table grew, and before main() writes any output,
+    # so a failed save leaves no partial result.
+    if args.cache is not None and len(TABLE.known()) > stored:
+        TABLE.save(str(args.cache))
     return text, 0
 
 
@@ -282,18 +288,9 @@ def cmd_polytope(args: argparse.Namespace) -> tuple[str, int]:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_io(
-    sp: argparse.ArgumentParser, formats: Sequence[str], cache: bool = True
-) -> None:
+def _add_io(sp: argparse.ArgumentParser, formats: Sequence[str]) -> None:
     sp.add_argument("--format", choices=formats, default=formats[0])
     sp.add_argument("--out", type=Path, default=None, help="write output here")
-    if cache:
-        sp.add_argument(
-            "--cache", type=Path, default=None,
-            help="load/save the ballot memo table as JSON",
-        )
-    else:  # the command never reads the ballot table
-        sp.set_defaults(cache=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,6 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--k", type=int, required=True)
     _add_io(b, ("text", "json", "csv"))
+    b.add_argument(
+        "--cache", type=Path, default=None,
+        help="load/save the ballot memo table as JSON",
+    )
     b.set_defaults(fn=cmd_ballot)
 
     c = sub.add_parser("catalan", help="q-Catalan numbers and their reversals")
@@ -336,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     j = sub.add_parser("conjecture", help="positivity/irreducibility sweep")
     j.add_argument("--max-n", type=int, default=27)
-    _add_io(j, ("text", "json", "csv"), cache=False)
+    _add_io(j, ("text", "json", "csv"))
     j.set_defaults(fn=cmd_conjecture)
 
     g = sub.add_parser("polytope", help="Newton polytope of the numerator")
     g.add_argument("--n", type=int, required=True)
-    _add_io(g, ("json", "svg"), cache=False)
+    _add_io(g, ("json", "svg"))
     g.set_defaults(fn=cmd_polytope)
 
     return p
@@ -351,22 +352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cache is not None:
-            if getattr(args, "suite", None) in TABLE_FREE_SUITES:
-                raise ValueError(
-                    f"verify {args.suite} reads no ballot table, so it takes no --cache")
-            from .ballot import TABLE
-
-            stored = 0  # table entries after loading the file; a missing one holds none
-            if args.cache.exists():
-                TABLE.load(str(args.cache))
-                stored = len(TABLE.known())
         text, code = args.fn(args)
-        # Saved only when the table grew, even when a verification failed
-        # (code 1), and before any output is written, so a failed save
-        # leaves no partial result.
-        if args.cache is not None and len(TABLE.known()) > stored:
-            TABLE.save(str(args.cache))
         if args.out is None:
             if sys.stdout is None:  # the process was started with fd 1 closed
                 raise OSError("standard output is closed")

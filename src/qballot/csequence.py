@@ -22,7 +22,6 @@ C_n(qx+1|q) round out the module.
 
 from __future__ import annotations
 
-import threading
 from functools import cache
 from math import comb, factorial
 from typing import Iterator, Sequence
@@ -71,15 +70,6 @@ class CFamily:
 
 _C1 = XPoly.const(RF_ONE)
 
-# Families grow in place under a lock; completed prefixes are immutable and
-# safe to hand out from any thread.
-_GROW_LOCK = threading.Lock()
-_DIFFERENCE: list[XPoly] = [_C1]
-_RECURRENCE: list[XPoly] = [_C1]
-# q-binomial coordinates of C_n for the recurrence method (entry n-1 has
-# length n); kept alongside so later steps never re-convert.
-_REC_COORDS: list[tuple[QLaurent, ...]] = [(ONE,)]
-
 
 def _difference_step(cur: XPoly) -> XPoly:
     # Coordinates of q C_n(q^2 x + 1 + q) over den, shifted up: b_1, b_2, ...
@@ -102,11 +92,10 @@ def c_difference(nmax: int) -> CFamily:
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    with _GROW_LOCK:
-        while len(_DIFFERENCE) < nmax:
-            _DIFFERENCE.append(_difference_step(_DIFFERENCE[-1]))
-        polys = tuple(_DIFFERENCE[:nmax])
-    return CFamily("difference", polys)
+    polys = [_C1]
+    while len(polys) < nmax:
+        polys.append(_difference_step(polys[-1]))
+    return CFamily("difference", tuple(polys))
 
 
 def _x_shift_coords(c: list[QLaurent]) -> list[QLaurent]:
@@ -157,13 +146,12 @@ def c_recurrence(nmax: int) -> CFamily:
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    with _GROW_LOCK:
-        while len(_RECURRENCE) < nmax:
-            nxt = _recurrence_step(_REC_COORDS)
-            _REC_COORDS.append(nxt)
-            _RECURRENCE.append(from_qbinom_coords(nxt))
-        polys = tuple(_RECURRENCE[:nmax])
-    return CFamily("recurrence", polys)
+    # q-binomial coordinates of C_1..C_n (entry n-1 has length n), kept so
+    # that later steps never re-convert.
+    coords: list[tuple[QLaurent, ...]] = [(ONE,)]
+    while len(coords) < nmax:
+        coords.append(_recurrence_step(coords))
+    return CFamily("recurrence", (_C1, *map(from_qbinom_coords, coords[1:])))
 
 
 def theorem1_qbinom_coeffs(n: int) -> tuple[QLaurent, ...]:

@@ -24,9 +24,6 @@ SUITES = (
     "polytope",
 )
 
-# The suites that read no ballot table, so `verify` refuses --cache for them.
-TABLE_FREE_SUITES = frozenset({"prop2", "q1_identities", "stirling", "conjecture", "polytope"})
-
 # The constructions of C_n(x|q) that `csequence.c_family` accepts.
 METHODS = ("difference", "theorem1", "recurrence")
 

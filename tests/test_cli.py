@@ -23,7 +23,7 @@ import qballot.sweep as sweep
 from qballot.ballot import BallotTable, qballot
 from qballot.cli import main
 from qballot.qring import ONE, ExactnessError
-from qballot.report import SUITES, CheckResult, SuiteReport
+from qballot.report import CheckResult, SuiteReport
 
 # ---------------------------------------------------------------------------
 # tables
@@ -156,16 +156,12 @@ def test_verify_andrews_reports_clean_exit(capsys):
     assert out.splitlines()[-1].endswith("(reported)")
 
 
-def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
+def test_verify_exit_one_on_failure(capsys, monkeypatch):
     failing = SuiteReport("carlitz")
     failing.results.append(CheckResult("convolution-area", 1, None, False, "boom"))
     monkeypatch.setattr(analysis, "run_suite", lambda name, maxn: failing)
     assert main(["verify", "carlitz"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
-    # a failed verification still saves the cache
-    cache = tmp_path / "cache.json"
-    assert main(["verify", "carlitz", "--cache", str(cache)]) == 1
-    assert json.loads(cache.read_text())["schema"] == BallotTable.SCHEMA
 
 
 @pytest.mark.parametrize(
@@ -442,49 +438,24 @@ def test_failed_fork_gives_the_serial_output(monkeypatch, sweep_cpus, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["conjecture", "--max-n", "4"], ["polytope", "--n", "3"]], ids=lambda a: a[0]
+    "argv",
+    [
+        ["table", "2"],
+        ["catalan"],
+        ["cx", "--n", "3"],
+        ["verify", "carlitz"],
+        ["conjecture", "--max-n", "4"],
+        ["polytope", "--n", "3"],
+    ],
+    ids=lambda a: a[0],
 )
-def test_sweep_and_polytope_take_no_cache(tmp_path, argv):
-    # Their columns come from their own packed pass, which reads no ballot
-    # table, so --cache is a usage error there and no file is made.
+def test_only_ballot_takes_cache(tmp_path, argv):
+    # --cache is a usage error on every command but ballot, and no file is made.
     cache = tmp_path / "cache.json"
     proc = _cli(*argv, "--cache", str(cache))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "unrecognized arguments: --cache" in proc.stderr
     assert not cache.exists()
-
-
-def _suite_reads_no_table(suite):
-    # A fresh process, so that no memo left by an earlier suite hides a read.
-    code = (
-        "from qballot.analysis import run_suite\n"
-        "from qballot.ballot import TABLE\n"
-        f"run_suite({suite!r}, 4)\n"
-        "print(len(TABLE.known()))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout == "0\n"
-
-
-def test_verify_refuses_cache_for_the_suites_that_read_no_table(tmp_path):
-    # Each in a fresh process: a C_n family grown by an earlier test in this
-    # one would leave a table-reading suite with no row to add, and no file.
-    refused = set()
-    for suite in SUITES:
-        cache = tmp_path / f"{suite}.json"
-        proc = _cli("verify", suite, "--max-n", "4", "--cache", str(cache))
-        code, out, err = proc.returncode, proc.stdout, proc.stderr
-        if code == 2:
-            assert out == ""
-            assert err == f"qballot: verify {suite} reads no ballot table, so it takes no --cache\n"
-            assert not cache.exists()
-            refused.add(suite)
-        else:
-            assert code == 0 and cache.exists()
-    assert refused == {suite for suite in SUITES if _suite_reads_no_table(suite)}
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +510,7 @@ def test_out_writes_file(tmp_path, capsys):
 
 def test_cache_roundtrip(tmp_path, capsys):
     cache = tmp_path / "cache.json"
-    assert main(["table", "2", "--max-n", "5", "--cache", str(cache)]) == 0
+    assert main(["ballot", "--n", "5", "--k", "5", "--cache", str(cache)]) == 0
     capsys.readouterr()
     blob = json.loads(cache.read_text())
     assert blob["schema"] == BallotTable.SCHEMA
@@ -556,7 +527,7 @@ def test_cache_roundtrip(tmp_path, capsys):
 def test_cache_bad_schema(tmp_path, capsys):
     cache = tmp_path / "bad.json"
     cache.write_text(json.dumps({"schema": "nope", "entries": {}}))
-    assert main(["table", "2", "--cache", str(cache)]) == 2
+    assert main(["ballot", "--n", "2", "--k", "1", "--cache", str(cache)]) == 2
     assert "schema" in capsys.readouterr().err
 
 
@@ -676,10 +647,10 @@ def test_cache_saved_only_when_the_table_grows(tmp_path):
 
 
 def test_cache_written_only_by_a_run_that_adds_rows(tmp_path):
-    # verify thm2 reads the ballot table only from --max-n 3, so this run
-    # adds no row and leaves no file; a ballot lookup then writes one
+    # f(2,3) is 0 since k > n, so this lookup reads no row and leaves no
+    # file; a lookup inside the triangle then writes one
     cache = tmp_path / "new.json"
-    proc = _cli("verify", "thm2", "--max-n", "2", "--cache", str(cache))
+    proc = _cli("ballot", "--n", "2", "--k", "3", "--cache", str(cache))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert not cache.exists()
     assert _cli("ballot", "--n", "6", "--k", "4", "--cache", str(cache)).returncode == 0
@@ -708,7 +679,7 @@ def _uncached_out(argv):
 def _written_cache():
     with tempfile.TemporaryDirectory() as d:
         path = Path(d, "cache.json")
-        assert _run_cold(["table", "2", "--max-n", "5", "--cache", str(path)])[0] == 0
+        assert _run_cold(["ballot", "--n", "5", "--k", "5", "--cache", str(path)])[0] == 0
         return path.read_bytes()
 
 
@@ -766,12 +737,8 @@ def _mutated_cache(draw):
 
 
 # Small n and k, mostly inside the 0 <= k <= n <= 5 triangle the file holds.
-_FUZZ_ARGV = st.one_of(
-    st.tuples(st.just("ballot"), st.just("--n"), st.integers(0, 6).map(str),
-              st.just("--k"), st.integers(0, 6).map(str)),
-    st.tuples(st.just("table"), st.just("2"), st.just("--max-n"), st.integers(0, 6).map(str)),
-    st.tuples(st.just("catalan"), st.just("--max-n"), st.integers(0, 6).map(str)),
-)
+_FUZZ_ARGV = st.tuples(st.just("ballot"), st.just("--n"), st.integers(0, 6).map(str),
+                       st.just("--k"), st.integers(0, 6).map(str))
 
 
 @given(

@@ -6,10 +6,11 @@ from math import comb
 
 import pytest
 
+import qballot.ballot as ballot_mod
 import qballot.csequence as csequence
 import qballot.report as report
 from qballot.analysis import run_suite
-from qballot.ballot import qballot, qcatalan, tilde_f, tilde_qcatalan
+from qballot.ballot import BallotTable, qballot, qcatalan, tilde_f, tilde_qcatalan
 from qballot.csequence import (
     METHODS,
     CFamily,
@@ -147,11 +148,21 @@ def test_difference_and_recurrence_agree_past_acceptance_range():
         assert rec.poly(n) == t, n
 
 
+def test_recurrence_family_is_built_per_call(monkeypatch):
+    # No family outlives its call, so a second call reads the ballot table
+    # just as the first did.
+    reads = []
+    for _ in range(2):
+        table = BallotTable()
+        monkeypatch.setattr(ballot_mod, "TABLE", table)
+        c_recurrence(6)
+        reads.append(len(table.known()))
+    assert reads[0] == reads[1] > 0
+
+
 def test_difference_construction_does_no_field_arithmetic(monkeypatch):
     # every step works on Laurent columns; no Q(q) element is added,
     # multiplied, divided or negated on the way
-    monkeypatch.setattr(csequence, "_DIFFERENCE", [csequence._C1])
-
     def refuse(*args):
         raise AssertionError("Q(q) field arithmetic in the difference construction")
 

@@ -3,7 +3,7 @@
 Every op runs in a fresh interpreter, so whatever `import qballot.cli`
 loads, every op pays for.  The CLI loads no `dataclasses` (which brings
 `inspect` with it), and loads `json` and `csv` only where an op's output or
-its --cache file needs them.  Of the package, a bare `import qballot` loads
+the --cache file of `ballot` (the one command that takes it) needs them.  Of the package, a bare `import qballot` loads
 no module, and the CLI loads each module only for the commands that run
 it: the q-ballot table `ballot` for `table`, `ballot` and `catalan`, and
 `analysis`, `csequence` and `qcore` for the commands that run them.  A cold
