@@ -493,18 +493,10 @@ def _suite_stirling(maxn: int) -> SuiteReport:
 
 def _suite_conjecture(maxn: int) -> SuiteReport:
     rep = SuiteReport("conjecture")
-    for n, poly, irreducible, positive, _ in _conjecture_rows(
-        list(range(2, maxn + 1))
-    ):
-        ok = poly and irreducible and positive
-        detail = None
-        if not ok:
-            detail = (
-                f"polynomial={poly} "
-                f"irreducible={irreducible} "
-                f"positive={positive}"
-            )
-        rep.results.append(CheckResult("numerator-flags", n, None, ok, detail))
+    for r in _conjecture_rows(list(range(2, maxn + 1))):
+        rep.results.append(
+            CheckResult("numerator-flags", r.n, None, r.ok, None if r.ok else r.failure)
+        )
     return rep
 
 

@@ -232,38 +232,18 @@ def cmd_conjecture(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 2:
         raise ValueError("--max-n must be >= 2")
-    from .sweep import _conjecture_rows
+    from .sweep import SweepRow, _conjecture_rows
 
     rows = _conjecture_rows(list(range(2, maxn + 1)))
-    ok = all(poly and irr and pos for _, poly, irr, pos, _ in rows)
+    ok = all(r.ok for r in rows)
     if args.format == "json":
-        results = [
-            {
-                "n": n,
-                "is_polynomial": poly,
-                "is_irreducible_fraction": irr,
-                "all_coeffs_positive": pos,
-                "coefficient_stats": [list(s) for s in stats],
-            }
-            for n, poly, irr, pos, stats in rows
-        ]
+        results = [r._asdict() for r in rows]
         text = _json_text({"max_n": maxn, "all_ok": ok, "results": results})
     elif args.format == "csv":
-        text = _csv_text(
-            ("n", "is_polynomial", "is_irreducible_fraction", "all_coeffs_positive"),
-            [row[:4] for row in rows],
-        )
+        columns = SweepRow._fields[:4]  # every field but coefficient_stats
+        text = _csv_text(columns, [[getattr(r, c) for c in columns] for r in rows])
     else:
-        lines = []
-        for n, poly, irr, pos, _ in rows:
-            if poly and irr and pos:
-                lines.append(f"n={n}: ok")
-            else:
-                lines.append(
-                    f"n={n}: FAIL polynomial={poly} "
-                    f"irreducible={irr} "
-                    f"positive={pos}"
-                )
+        lines = [f"n={r.n}: " + ("ok" if r.ok else f"FAIL {r.failure}") for r in rows]
         lines.append(
             f"conjecture 2..{maxn}: " + ("all ok" if ok else "FAILURES above")
         )
@@ -363,10 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ExactnessError as exc:
         print(f"qballot: internal error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"qballot: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"qballot: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -130,10 +130,9 @@ def _divexact_dense(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     for k in range(n):
         c = rem[k]
         if c:
-            if b0 != 1:
-                c, r = divmod(c, b0)
-                if r:
-                    return None
+            c, r = divmod(c, b0)
+            if r:
+                return None
             quot[k] = c
             for j, bc in enumerate(b):
                 rem[k + j] -= c * bc
@@ -215,11 +214,10 @@ class QRatFunc:
         num: QLaurent | int | Fraction | QRatFunc,
         den: QLaurent | int | Fraction | QRatFunc = _ONE,
     ):
-        if type(num) is not QLaurent or type(den) is not QLaurent:
-            rn, rd = _coerce_ratfunc(num), _coerce_ratfunc(den)
-            if rn is NotImplemented or rd is NotImplemented:
-                raise TypeError("QRatFunc expects QLaurent or exact rational arguments")
-            num, den = rn.num * rd.den, rn.den * rd.num
+        rn, rd = _coerce_ratfunc(num), _coerce_ratfunc(den)
+        if rn is NotImplemented or rd is NotImplemented:
+            raise TypeError("QRatFunc expects QLaurent or exact rational arguments")
+        num, den = rn.num * rd.den, rn.den * rd.num
         (self.num,), self.den = lowest_terms((num,), den)
 
     @classmethod

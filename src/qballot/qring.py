@@ -67,8 +67,7 @@ class QLaurent:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for e, c in items:
-                if type(c) is not int:
-                    c = _int_coeff(c)
+                c = _int_coeff(c)
                 if c:
                     data[e] = data.get(e, 0) + c
         lo = min(data, default=0)

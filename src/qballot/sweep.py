@@ -3,12 +3,14 @@ integer columns, and the conjecture sweep over n.
 
 This is all that `conjecture` runs: the packed pass of the ballot recurrence
 into the Newton-Horner core (`theorem1_columns`), the flags on the columns
-(`theorem1_numerator`) and the split of the n over forked children
-(`_conjecture_rows`).  It is a leaf over the ring `qring` and the column and
-`[d]_q!` helpers of `qcore`, so a cold sweep compiles neither the ballot
-table (`ballot`), the other two `C_n` constructions (`csequence`) nor the
-polytope and the verification suites (`analysis`).  Those modules import
-the names they read back from here.
+(`theorem1_numerator`), the per-n verdict the sweep prints (`SweepRow`,
+whose pass rule and failure text `conjecture` and `verify conjecture` both
+read) and the split of the n over forked children (`_conjecture_rows`).  It
+is a leaf over the ring `qring` and the column and `[d]_q!` helpers of
+`qcore`, so a cold sweep compiles neither the ballot table (`ballot`), the
+other two `C_n` constructions (`csequence`) nor the polytope and the
+verification suites (`analysis`).  Those modules import the names they read
+back from here.
 """
 
 from __future__ import annotations
@@ -124,28 +126,50 @@ def _numerator_report(
     )
 
 
-def _conjecture_rows(ns: list[int]) -> list[tuple]:
-    """For each n of the ascending list ns, the fields of
-    theorem1_numerator(n) that the sweep prints: (n, is_polynomial,
-    is_irreducible_fraction, all_coeffs_positive, coefficient_stats).
+class SweepRow(NamedTuple):
+    """The fields of theorem1_numerator(n) that the conjecture sweep prints,
+    with its verdict: `ok` is `NumeratorReport.ok`, and `failure` spells out
+    the three flags."""
+
+    n: int
+    is_polynomial: bool
+    is_irreducible_fraction: bool
+    all_coeffs_positive: bool
+    coefficient_stats: tuple[tuple[int, int], ...]
+
+    ok = NumeratorReport.ok
+
+    @property
+    def failure(self) -> str:
+        return (
+            f"polynomial={self.is_polynomial} "
+            f"irreducible={self.is_irreducible_fraction} "
+            f"positive={self.all_coeffs_positive}"
+        )
+
+
+def _conjecture_rows(ns: list[int]) -> list[SweepRow]:
+    """The `SweepRow` of each n of the ascending list ns.
 
     The n are split over one process per available CPU.  Sorted largest
     first, they are dealt round-robin; this process keeps the first share,
     and each forked child sends its rows back through a pipe as marshal
-    data.  Any fault (an error here, a child that exits nonzero, or rows
-    whose n are not the child's share) kills and reaps every child, then
-    reruns every n here, so the output, or the first error raised, is the
-    serial run's.  With one CPU, no os.fork, or a second live thread (a
-    child could inherit one of its locks held), the sweep runs serially.
+    data, plain tuples (marshal refuses a tuple subclass), which this
+    process rebuilds into rows.  Any fault (an error here, a child that
+    exits nonzero, or rows whose n are not the child's share) kills and
+    reaps every child, then reruns every n here, so the output, or the
+    first error raised, is the serial run's.  With one CPU, no os.fork, or
+    a second live thread (a child could inherit one of its locks held), the
+    sweep runs serially.
     """
     import marshal
     import os
     import threading
 
-    def rows(share: list[int]) -> list[tuple]:
+    def rows(share: list[int]) -> list[SweepRow]:
         return [
-            (r.n, r.is_polynomial, r.is_irreducible_fraction,
-             r.all_coeffs_positive, r.coefficient_stats)
+            SweepRow(r.n, r.is_polynomial, r.is_irreducible_fraction,
+                     r.all_coeffs_positive, r.coefficient_stats)
             for r in map(theorem1_numerator, share)
         ]
 
@@ -173,7 +197,7 @@ def _conjecture_rows(ns: list[int]) -> list[tuple]:
                 try:
                     os.close(fd)
                     with open(w, "wb") as pipe:
-                        pipe.write(marshal.dumps(rows(share)))
+                        pipe.write(marshal.dumps([tuple(r) for r in rows(share)]))
                     code = 0
                 finally:
                     os._exit(code)
@@ -182,8 +206,8 @@ def _conjecture_rows(ns: list[int]) -> list[tuple]:
         got = rows(shares[0])
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
-                got += marshal.loads(pipe.read())
-        if [row[0] for row in got] == [n for share in shares for n in share]:
+                got += map(SweepRow._make, marshal.loads(pipe.read()))
+        if [r.n for r in got] == [n for share in shares for n in share]:
             done = got
     except Exception:
         pass  # below, once no child is left, the serial rerun raises it again

@@ -211,22 +211,52 @@ def test_conjecture_json(capsys):
     assert data["results"][0]["coefficient_stats"] == [[0, 0], [1, 1]]
 
 
-def test_conjecture_exit_one_on_failure(capsys, monkeypatch):
-    from qballot.analysis import NumeratorReport
+# A report whose numerator is not a polynomial; the other flags pass.
+_NOT_POLYNOMIAL = sweep.NumeratorReport(
+    n=2,
+    numerator=(ONE,),
+    denominator=ONE,
+    is_polynomial=False,
+    is_irreducible_fraction=True,
+    all_coeffs_positive=True,
+    coefficient_stats=((0, 0),),
+)
 
-    bad = NumeratorReport(
-        n=2,
-        numerator=(ONE,),
-        denominator=ONE,
-        is_polynomial=False,
-        is_irreducible_fraction=True,
-        all_coeffs_positive=True,
-        coefficient_stats=((0, 0),),
-    )
-    monkeypatch.setattr(sweep, "theorem1_numerator", lambda n: bad)
+
+def test_conjecture_exit_one_on_failure(capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "theorem1_numerator", lambda n: _NOT_POLYNOMIAL)
     assert main(["conjecture", "--max-n", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+_FLAGS = "polynomial=False irreducible=True positive=True"
+_FAILED_SWEEP = {
+    "text": f"n=2: FAIL {_FLAGS}\nn=3: FAIL {_FLAGS}\nconjecture 2..3: FAILURES above\n",
+    "csv": "n,is_polynomial,is_irreducible_fraction,all_coeffs_positive\n"
+           "2,False,True,True\n3,False,True,True\n",
+    "json": json.dumps({"max_n": 3, "all_ok": False, "results": [
+        {"n": n, "is_polynomial": False, "is_irreducible_fraction": True,
+         "all_coeffs_positive": True, "coefficient_stats": [[0, 0]]}
+        for n in (2, 3)
+    ]}, indent=2) + "\n",
+    "verify": f"[FAIL] numerator-flags n=2: {_FLAGS}\n"
+              f"[FAIL] numerator-flags n=3: {_FLAGS}\n"
+              "suite conjecture: 0/2 ok (fail)\n",
+}
+
+
+@pytest.mark.parametrize("fmt", list(_FAILED_SWEEP))
+def test_failing_report_prints_its_flags(fmt, capsys, monkeypatch):
+    monkeypatch.setattr(
+        sweep, "theorem1_numerator", lambda n: _NOT_POLYNOMIAL._replace(n=n)
+    )
+    if fmt == "verify":
+        argv = ["verify", "conjecture", "--max-n", "3"]
+    else:
+        argv = ["conjecture", "--max-n", "3", "--format", fmt]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (_FAILED_SWEEP[fmt], "")
 
 
 def test_internal_exactness_error_exits_three(capsys, monkeypatch):
