@@ -8,13 +8,16 @@ satisfy
 
     f(n, k | q) = q f(n, k-1 | q) + q^k f(n-1, k | q),
 
-with f(n, 0 | q) = 1 and f(n, k | q) = 0 for k > n.  Everything else in
-this module is a reading of the same table: column sums give the q-Catalan
-polynomials, the reversed statistic A' (cells between the path and the
-staircase ceiling min(y=x, y=k)) gives the tilde family.
+with f(n, 0 | q) = 1 and f(n, k | q) = 0 for k > n.  `BallotTable` runs it
+once, on rows packed into integers at q = 2^w, and unpacks a row into its
+`QLaurent` only when it is read.  Everything else in this module is a
+reading of the same table: column sums give the q-Catalan polynomials, the
+reversed statistic A' (cells between the path and the staircase ceiling
+min(y=x, y=k)) gives the tilde family.
 
 The integer ballot numbers themselves, `ballot(n, k)`, are defined in the
-ring module `qring` and imported here.
+ring module `qring` and imported here: they size the packed rows, and every
+row unpacked or loaded from a `--cache` file must sum to one.
 
 Exhaustive path enumeration is kept alongside the recurrence as an
 independent oracle.  Every path meets the anti-diagonal x + y = (n+k)//2
@@ -29,9 +32,9 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 import threading
 from math import comb
-from typing import Optional
 
 from .qring import ONE, ZERO, ExactnessError, QLaurent, _raw, ballot
 
@@ -52,27 +55,70 @@ def path_cap() -> int:
     return cap
 
 
-# A row f(n, k | q), k <= n, is stored as its QLaurent: the dense run of
-# its coefficients from q^k up, all of them positive.  Runs are immutable,
-# so rows share them (f(n, n) is f(n, n-1) shifted by one).
+# A row f(n, k | q), k <= n, has positive coefficients from q^k up, and they
+# sum to ballot(n, k).  The table keeps g(n, k) = f(n, k) / q^k packed into
+# one integer at q = 2^w, w = 64 t bits, with t words enough for ballot(n, k)
+# of the largest row asked for: no coefficient of a row reaches 2^w, so no
+# digit carries, and the recurrence is one shift and one add,
+#
+#     g(n, k) = g(n, k-1) + (g(n-1, k) << k w),   g(n, 0) = 1,  g(n-1, n) = 0.
+#
+# A row is unpacked into its QLaurent the first time it is read, and the
+# QLaurent replaces the integer, so the table holds one copy of each row.
 
 
-def _next_row(left: QLaurent, up: Optional[QLaurent], k: int) -> QLaurent:
-    """f(n,k) = q f(n,k-1) + q^k f(n-1,k), for k >= 1; up is None when k = n."""
-    row = left.shifted(1)
-    return row if up is None else row + up.shifted(k)
+def _words(n: int, k: int) -> int:
+    """64-bit words a digit needs in the rows f(m, j), m <= n, j <= min(m, k):
+    enough for ballot(n, k), which bounds every coefficient of every one."""
+    return -(-ballot(n, k).bit_length() // 64)
+
+
+def _packed_step(left: int, up: int, shift: int) -> int:
+    """g(n, k) from g(n, k-1) and g(n-1, k), with shift = k w."""
+    return left + (up << shift)
+
+
+def _pack_row(cs: tuple[int, ...], t: int) -> int:
+    """sum_i cs[i] 2^(64 t i), for 0 <= cs[i] < 2^(64 t)."""
+    return int.from_bytes(b"".join([c.to_bytes(8 * t, "little") for c in cs]), "little")
+
+
+def _digits(v: int, t: int) -> list[int]:
+    """The base-2^(64 t) digits of v > 0, lowest first, read off a view of
+    its 64-bit words."""
+    n = -(-v.bit_length() // 64)
+    n += -n % t
+    words = memoryview(v.to_bytes(8 * n, sys.byteorder)).cast("Q").tolist()
+    if sys.byteorder == "big":
+        words.reverse()
+    digits = words if t == 1 else words[::t]
+    # Most digits fit their low word, so a high word is added only where it
+    # is nonzero, and a row whose high words are all zero is its low words.
+    for i in range(1, t):
+        high = words[i::t]
+        if any(high):
+            digits = [d | h << 64 * i if h else d for d, h in zip(digits, high)]
+    return digits
 
 
 class BallotTable:
     """Memoized table of f(n, k | q), safe for concurrent readers.
 
-    Writes happen under a single lock; completed entries are immutable
-    polynomials, so reading them without the lock is safe.
+    Writes happen under a single lock.  A row is read without the lock only
+    once it is a QLaurent, which is immutable; a packed row is unpacked, and
+    the table widened or filled, under the lock.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], QLaurent] = {}
+        # (n, k) -> g(n, k) packed at _words words a digit, or the QLaurent
+        # f(n, k) once the row has been read
+        self._entries: dict[tuple[int, int], int | QLaurent] = {}
+        self._words = 1
         self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        """The number of rows held, read or not."""
+        return len(self._entries)
 
     def get(self, n: int, k: int) -> QLaurent:
         if n < 0 or k < 0:
@@ -80,23 +126,62 @@ class BallotTable:
         if k > n:
             return ZERO
         row = self._entries.get((n, k))
-        if row is None:
+        if type(row) is not QLaurent:
             with self._lock:
-                row = self._fill(n, k)
+                if (n, k) not in self._entries:
+                    self._fill(n, k)
+                row = self._read(n, k)
         return row
 
-    def _fill(self, n: int, k: int) -> QLaurent:
-        t = self._entries
+    def _read(self, n: int, k: int) -> QLaurent:
+        """Row (n, k), unpacked and kept the first time it is read.  Its
+        coefficients must count ballot(n, k) paths: a digit that carried
+        would break the sum, so a wrong width cannot give a wrong row."""
+        row = self._entries[(n, k)]
+        if type(row) is int:
+            cs = _digits(row, self._words)
+            if sum(cs) != ballot(n, k):
+                raise ExactnessError(f"f({n},{k}|q) unpacked at {self._words} words "
+                                     f"does not count ballot({n},{k}) paths")
+            row = self._entries[(n, k)] = _raw(k, tuple(cs))
+        return row
+
+    def _fill(self, n: int, k: int) -> None:
+        """Pack every row f(m, j), m <= n, j <= min(m, k), the table lacks."""
+        t = _words(n, k)
+        if t > self._words:
+            self._widen(t)
+        entries = self._entries
         for m in range(n + 1):
             for j in range(min(m, k) + 1):
-                if (m, j) in t:
-                    continue
-                t[(m, j)] = _next_row(t[(m, j - 1)], t.get((m - 1, j)), j) if j else ONE
-        return t[(n, k)]
+                if (m, j) not in entries:
+                    entries[(m, j)] = self._packed(m, j, entries)
+
+    def _widen(self, t: int) -> None:
+        """Pack every unread row again at t words a digit."""
+        entries = self._entries
+        for key, g in entries.items():
+            if type(g) is int:
+                entries[key] = _pack_row(_digits(g, self._words), t)
+        self._words = t
+
+    def _packed(self, n: int, k: int, rows: dict) -> int:
+        """g(n, k) at the table's width, from its neighbours in rows, else in
+        the table; a neighbour that has been read is packed again."""
+        if k == 0:
+            return 1
+        left, up = self._neighbour((n, k - 1), rows), self._neighbour((n - 1, k), rows)
+        return _packed_step(left, up, 64 * self._words * k)
+
+    def _neighbour(self, key: tuple[int, int], rows: dict) -> int:
+        # g(n-1, n) = 0: the row k > n is in neither
+        g = rows.get(key) or self._entries.get(key, 0)
+        return g if type(g) is int else _pack_row(g.cs, self._words)
 
     def known(self) -> dict[tuple[int, int], QLaurent]:
+        """Every row held, each unpacked at most once."""
         with self._lock:
-            return dict(self._entries)
+            return {key: self._read(*key) for key in self._entries}
 
     # -- persistence (CLI --cache) --------------------------------------------
 
@@ -117,14 +202,15 @@ class BallotTable:
         """Add the entries of a dumped table; raises ValueError, and adds
         nothing, unless every entry is well-formed and provably right.
 
-        Entries are proven in (n, k) order.  Each must equal the row that
-        f(n,k) = q f(n,k-1) + q^k f(n-1,k) (f(n,0) = 1) gives from rows in
-        the table or proven before it, so an entry whose neighbours are
-        missing is rejected: the file decides no amount of work, only which
-        rows are compared.  A table this class fills holds every neighbour
-        of every entry, so a file it wrote always passes.  Last, each entry
-        must count ballot(n, k) paths at q = 1, a check that does not go
-        through the row arithmetic.
+        Entries are proven in (n, k) order, on the table's packed recurrence.
+        Each must equal the row that f(n,k) = q f(n,k-1) + q^k f(n-1,k)
+        (f(n,0) = 1) gives from rows in the table or proven before it, so an
+        entry whose neighbours are missing is rejected: the file decides no
+        amount of work, only which rows are compared.  The packed width
+        grows only to fit an entry whose neighbours are there.  A table this
+        class fills holds every neighbour of every entry, so a file it wrote
+        always passes.  Last, each entry must count ballot(n, k) paths at
+        q = 1, a check that does not go through the row arithmetic.
         """
         if not isinstance(data, dict):
             raise ValueError("the root is not a JSON object")
@@ -135,27 +221,38 @@ class BallotTable:
             raise ValueError("there is no 'entries' object")
         parsed = sorted((_parse_key(key), _parse_row(key, row)) for key, row in raw.items())
         with self._lock:
+            entries = self._entries
             proven: dict[tuple[int, int], QLaurent] = {}
+            # the proven rows of n - 1 and n, packed: all a row's neighbours
+            packed: dict[tuple[int, int], int] = {}
+            last = 0
             for (n, k), (lo, cs) in parsed:
+                if n != last:
+                    last = n
+                    packed = {key: g for key, g in packed.items() if key[0] == n - 1}
                 if k == 0:
-                    want = ONE
+                    want = 1
                 else:
-                    left = proven.get((n, k - 1)) or self._entries.get((n, k - 1))
-                    up = proven.get((n - 1, k)) or self._entries.get((n - 1, k))
-                    if left is None or (up is None and k < n):
-                        raise ValueError(f"entry '{n},{k}' lacks the neighbours that prove it")
-                    want = _next_row(left, up, k)
+                    for key in [(n, k - 1)] if k == n else [(n, k - 1), (n - 1, k)]:
+                        if key not in proven and key not in entries:
+                            raise ValueError(f"entry '{n},{k}' lacks the neighbours that prove it")
+                    t = _words(n, k)
+                    if t > self._words:
+                        self._widen(t)
+                        packed = {key: _pack_row(proven[key].cs, t) for key in packed}
+                    want = self._packed(n, k, packed)
                 # Compared as read: a file row enters arithmetic only once
-                # it equals the canonical run of the row it must be.  It is
-                # then kept, not want, so the table shares the file's
+                # it equals the digits of the row it must be.  It is then
+                # kept, not those digits, so the table shares the file's
                 # numbers instead of holding a second copy while loading.
-                if lo != want.lo or cs != list(want.cs):
+                if lo != k or cs != _digits(want, self._words):
                     raise ValueError(f"entry '{n},{k}' breaks the ballot recurrence")
                 proven[(n, k)] = _raw(lo, tuple(cs))
+                packed[(n, k)] = want
             for (n, k), row in proven.items():
                 if sum(row.cs) != ballot(n, k):
                     raise ValueError(f"entry '{n},{k}' does not count ballot({n},{k}) paths")
-            self._entries.update(proven)
+            entries.update(proven)
         return len(proven)
 
     def save(self, path: str) -> None:
@@ -330,10 +427,12 @@ def qcatalan(n: int) -> QLaurent:
         raise ValueError("qcatalan needs n >= 0")
     if n == 0:
         return ONE
+    # f(n, n) first: its fill packs every row the sum reads, none of them
+    # read yet
+    by_diag = qballot(n, n).shifted(-n)
     by_sum = ZERO
     for k in range(n):
         by_sum = by_sum + qballot(n - 1, k)
-    by_diag = qballot(n, n).shifted(-n)
     if by_sum != by_diag:
         raise ExactnessError(f"q-Catalan routes disagree at n={n}")
     return by_sum

@@ -92,6 +92,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
     if args.which == 1:
         entries = [[ballot(n, k) for k in range(n + 1)] for n in range(maxn + 1)]
     else:
+        qballot(maxn, maxn)  # one fill packs the triangle; a row unpacks when read
         entries = [[str(qballot(n, k)) for k in range(n + 1)] for n in range(maxn + 1)]
     if args.format == "json":
         rows = [{"n": n, "entries": entries[n]} for n in range(maxn + 1)]
@@ -121,7 +122,7 @@ def cmd_ballot(args: argparse.Namespace) -> tuple[str, int]:
     stored = 0  # table entries after loading the file; a missing one holds none
     if args.cache is not None and args.cache.exists():
         TABLE.load(str(args.cache))
-        stored = len(TABLE.known())
+        stored = len(TABLE)
     if args.n < 0 or args.k < 0:
         raise ValueError("--n and --k must be >= 0")
     poly = qballot(args.n, args.k)
@@ -142,7 +143,7 @@ def cmd_ballot(args: argparse.Namespace) -> tuple[str, int]:
         text = f"f({args.n},{args.k}|q) = {poly}\nf({args.n},{args.k}) = {plain}\n"
     # Saved only when the table grew, and before main() writes any output,
     # so a failed save leaves no partial result.
-    if args.cache is not None and len(TABLE.known()) > stored:
+    if args.cache is not None and len(TABLE) > stored:
         TABLE.save(str(args.cache))
     return text, 0
 
@@ -151,8 +152,9 @@ def cmd_catalan(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 0:
         raise ValueError("--max-n must be >= 0")
-    from .ballot import qcatalan, tilde_qcatalan
+    from .ballot import qballot, qcatalan, tilde_qcatalan
 
+    qballot(maxn, maxn)  # one fill packs every row the sums read
     rows = [
         (n, str(qcatalan(n)), str(tilde_qcatalan(n))) for n in range(maxn + 1)
     ]

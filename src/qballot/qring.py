@@ -20,8 +20,8 @@ always canonicalizes.
 The integer ballot number `ballot(n, k)` is defined here too, beside the
 ring rather than with the q-ballot table in `ballot`: the Theorem 1 columns
 (`sweep`) read it to size their packed integers, so a cold `conjecture`
-compiles no table, and `ballot` imports it back for the check of a
-`--cache` file.
+compiles no table, and `ballot` imports it back to size its packed rows
+and to check the rows it unpacks and loads.
 
 This module is a leaf: it imports nothing from the package.  The ballot
 commands (`ballot`, `table`, `catalan`) run on this ring alone, so a cold

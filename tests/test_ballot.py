@@ -4,6 +4,7 @@ q-Catalan sums."""
 import functools
 import itertools
 import json
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -26,7 +27,8 @@ from qballot.ballot import (
     tilde_f_paths,
     tilde_qcatalan,
 )
-from qballot.qring import ONE, Q, ZERO, QLaurent
+from qballot.cli import main
+from qballot.qring import ONE, Q, ZERO, ExactnessError, QLaurent
 
 # ---------------------------------------------------------------------------
 # integer ballot numbers
@@ -363,14 +365,15 @@ def test_table_load_is_all_or_nothing():
 def test_table_load_counts_paths_without_the_row_kernel(monkeypatch):
     # A faulty row recurrence fills wrong rows and would prove them against
     # each other; the count at q = 1 comes from the closed form instead.
-    def without_up(left, up, k):
-        return left.shifted(1)
+    def without_up(left, up, shift):
+        return left
 
-    monkeypatch.setattr(ballot_mod, "_next_row", without_up)
-    t = BallotTable()
-    t.get(4, 3)
+    monkeypatch.setattr(ballot_mod, "_packed_step", without_up)
+    # the rows that step fills: every g(m, j) is 1, so f(m, j) is q^j
+    entries = {f"{m},{j}": [j, [1]] for m in range(5) for j in range(min(m, 3) + 1)}
+    blob = {"schema": BallotTable.SCHEMA, "entries": entries}
     with pytest.raises(ValueError, match=r"'2,1' does not count"):
-        BallotTable().load_json(t.dump_json())
+        BallotTable().load_json(blob)
 
 
 def test_table_concurrent_reads_match_serial():
@@ -390,6 +393,79 @@ def test_table_concurrent_reads_match_serial():
     for th in threads:
         th.join()
     assert results == serial
+
+
+# ---------------------------------------------------------------------------
+# packed rows
+
+
+def test_table_widens_across_the_word_boundary():
+    # ballot(n, k) bounds every coefficient of every row the fill of (n, k)
+    # packs: ballot(36, 36) fits one 64-bit word, ballot(37, 37) needs two.
+    assert ballot(36, 36).bit_length() <= 64 < ballot(37, 37).bit_length()
+    t = BallotTable()
+    before = t.get(12, 7)  # read at one word
+    t.get(36, 36)  # packs (13, 13) at one word, unread
+    t.get(40, 40)  # two words; f(40, 40) has a coefficient past 2^64
+    assert max(t.get(40, 40).cs).bit_length() > 64
+    assert t.get(12, 7) is before  # a row read keeps its QLaurent
+    fresh = BallotTable()
+    for n, k in [(12, 7), (13, 13), (36, 18), (36, 36), (37, 37), (40, 40)]:
+        assert t.get(n, k) == fresh.get(n, k) == _sparse_reference(n, k), (n, k)
+    assert t.get(12, 7) == qballot_paths(12, 7)
+    assert t.get(13, 13) == qballot_paths(13, 13)
+
+
+def test_table_load_widens_on_the_way():
+    # The file's rows pass one word at (37, 37): the proof widens there, and
+    # packs again both its own rows and the unread rows the table held.
+    written = BallotTable()
+    written.get(40, 40)
+    t = BallotTable()
+    t.get(30, 2)  # the rest of the n <= 30, k <= 2 block stays packed
+    assert t.load_json(written.dump_json()) == len(written)
+    assert t.known() == written.known()
+
+
+def test_a_digit_that_carries_is_an_internal_error(monkeypatch, capsys):
+    # One word is too narrow for f(40, 40): a digit carries, the row's sum
+    # misses ballot(40, 40), and the run exits 3 instead of printing it.
+    monkeypatch.setattr(ballot_mod, "_words", lambda n, k: 1)
+    with pytest.raises(ExactnessError, match=r"ballot\(40,40\)"):
+        BallotTable().get(40, 40)
+    monkeypatch.setattr(ballot_mod, "TABLE", BallotTable())
+    assert main(["ballot", "--n", "40", "--k", "40"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("qballot: internal error: ")
+
+
+def test_table_concurrent_reads_across_a_widening():
+    keys = [(n, k) for n in (20, 30, 36, 37, 40) for k in (n // 2, n - 1, n)]
+    serial = {nk: _sparse_reference(*nk) for nk in keys}
+    orders = [keys[i:] + keys[:i] for i in range(0, len(keys), 2)]
+    orders += [order[::-1] for order in orders]
+    t = BallotTable()
+    results = []
+    lock = threading.Lock()
+
+    def worker(order):
+        got = [(nk, t.get(*nk)) for nk in order]
+        with lock:
+            results.extend(got)
+
+    threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == len(keys) * len(orders)
+    assert all(row == serial[nk] for nk, row in results)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +493,21 @@ def test_table_rows_match_sparse_recurrence_and_paths(nk):
     assert got == _sparse_reference(n, k)
     if n + k <= 14:
         assert got == qballot_paths(n, k)
+
+
+# Up to n = 42, past the row (37, 37) where the table needs two words a digit.
+_NK_WIDE = st.integers(0, 42).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+
+
+@given(st.lists(_NK_WIDE, min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_table_rows_do_not_depend_on_request_order(keys):
+    t = BallotTable()
+    got = [t.get(n, k) for n, k in keys]
+    fresh = BallotTable()
+    fresh.get(max(n for n, _ in keys), max(k for _, k in keys))  # one fill, one width
+    assert got == [fresh.get(n, k) for n, k in keys]
+    assert t.known() == {key: fresh.get(*key) for key in t.known()}
 
 
 @given(_NK, _NK)

@@ -2,8 +2,8 @@
 
 `qballot_paths` and `tilde_f_paths` are the independent side of the
 Prop. 1 and path-statistic checks, so their bodies, and the walk they
-share, may not read the ballot table, its row kernel, the recurrence or
-the q-integer and Gaussian-binomial helpers.
+share, may not read the ballot table, its packed row kernel, the
+recurrence or the q-integer and Gaussian-binomial helpers.
 """
 
 import ast
@@ -11,7 +11,10 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "qballot" / "ballot.py"
 ORACLES = ("qballot_paths", "tilde_f_paths", "_path_areas")
-FORBIDDEN = frozenset({"TABLE", "BallotTable", "_next_row", "qballot", "q_int", "gauss_binom"})
+FORBIDDEN = frozenset({
+    "TABLE", "BallotTable", "_next_row", "qballot", "q_int", "gauss_binom",
+    "_packed_step", "_pack_row", "_digits", "_words",
+})
 
 
 def forbidden_reads(source: str) -> list[str]:
