@@ -74,7 +74,7 @@ def numerator(n: int, c: XPoly) -> NumeratorReport:
     g = poly_gcd(den, c.den)
     scale = ql_divexact(den, g)
     cols = tuple(col * scale for col in c.nums)
-    return _numerator_report(n, cols, den, g == c.den)
+    return _numerator_report(n, cols, g == c.den)
 
 
 # -- Newton polytopes ---------------------------------------------------------

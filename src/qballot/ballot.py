@@ -187,17 +187,6 @@ class BallotTable:
 
     SCHEMA = "qballot-table-v2"
 
-    def dump_json(self) -> dict:
-        """The table as {"schema", "entries": {"n,k": [lo, [c_lo, ..., c_hi]]}},
-        entries in (n, k) order."""
-        return self._document(list)
-
-    def _document(self, array) -> dict:
-        # array(p.cs) holds each row's coefficients.  json writes a tuple as
-        # an array, so save passes tuple and copies no run.
-        entries = {f"{n},{k}": [p.lo, array(p.cs)] for (n, k), p in sorted(self.known().items())}
-        return {"schema": self.SCHEMA, "entries": entries}
-
     def load_json(self, data: object) -> int:
         """Add the entries of a dumped table; raises ValueError, and adds
         nothing, unless every entry is well-formed and provably right.
@@ -256,11 +245,15 @@ class BallotTable:
         return len(proven)
 
     def save(self, path: str) -> None:
-        """Write the table as JSON, atomically: a reader sees the old file or
-        the new one, never a partial write."""
+        """Write the table as the JSON document
+        {"schema", "entries": {"n,k": [lo, [c_lo, ..., c_hi]]}}, entries in
+        (n, k) order, atomically: a reader sees the old file or the new one,
+        never a partial write."""
         import json
 
-        text = json.dumps(self._document(tuple), separators=(",", ":"))
+        # json writes a tuple as an array, so each row's run is not copied
+        entries = {f"{n},{k}": [p.lo, p.cs] for (n, k), p in sorted(self.known().items())}
+        text = json.dumps({"schema": self.SCHEMA, "entries": entries}, separators=(",", ":"))
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
@@ -439,7 +432,8 @@ def qcatalan(n: int) -> QLaurent:
 
 
 def tilde_qcatalan(n: int) -> QLaurent:
-    """The reversal q^(C(n,2)) C_n(1/q); equals tilde_f(n, n)."""
+    """The reversal q^(C(n,2)) C_n(1/q), read as the table row tilde_f(n, n):
+    C_n(q) = q^-n f(n, n | q), so the two shifts add up to C(n+1, 2)."""
     if n < 0:
         raise ValueError("tilde_qcatalan needs n >= 0")
-    return qcatalan(n).subs_q_inverse().shifted(comb(n, 2))
+    return tilde_f(n, n)

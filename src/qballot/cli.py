@@ -184,10 +184,14 @@ def cmd_catalan(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_cx(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 1:
         raise ValueError("--n must be >= 1 (the family starts at C_1)")
-    from .csequence import c_family, format_qbinom
+    from .csequence import c_family, c_theorem1, format_qbinom
     from .qcore import to_qbinom_basis
 
-    poly = c_family(args.method, args.n).poly(args.n)
+    # Theorem 1 builds C_n alone; the other two recurrences need C_1..C_n-1.
+    if args.method == "theorem1":
+        poly = c_theorem1(args.n - 1)
+    else:
+        poly = c_family(args.method, args.n).poly(args.n)
     e = to_qbinom_basis(poly) if args.basis == "qbinom" else poly.coeffs
     coeffs = [str(c) for c in e]
     if args.format == "json":

@@ -45,12 +45,12 @@ _ONE_PLUS_Q = ONE + Q
 
 
 class CFamily:
-    """C_1 .. C_nmax as built by one method; ``poly(n)`` returns C_n(x|q)."""
+    """C_1 .. C_nmax, the same polynomials whichever method built them;
+    ``poly(n)`` returns C_n(x|q)."""
 
-    __slots__ = ("method", "polys")
+    __slots__ = ("polys",)
 
-    def __init__(self, method: str, polys: tuple[XPoly, ...]) -> None:
-        self.method = method
+    def __init__(self, polys: tuple[XPoly, ...]) -> None:
         self.polys = polys
 
     def poly(self, n: int) -> XPoly:
@@ -95,7 +95,7 @@ def c_difference(nmax: int) -> CFamily:
     polys = [_C1]
     while len(polys) < nmax:
         polys.append(_difference_step(polys[-1]))
-    return CFamily("difference", tuple(polys))
+    return CFamily(tuple(polys))
 
 
 def _x_shift_coords(c: list[QLaurent]) -> list[QLaurent]:
@@ -151,7 +151,7 @@ def c_recurrence(nmax: int) -> CFamily:
     coords: list[tuple[QLaurent, ...]] = [(ONE,)]
     while len(coords) < nmax:
         coords.append(_recurrence_step(coords))
-    return CFamily("recurrence", (_C1, *map(from_qbinom_coords, coords[1:])))
+    return CFamily((_C1, *map(from_qbinom_coords, coords[1:])))
 
 
 def theorem1_qbinom_coeffs(n: int) -> tuple[QLaurent, ...]:
@@ -187,7 +187,7 @@ def c_family(method: str, nmax: int) -> CFamily:
     if method == "theorem1":
         if nmax < 1:
             raise ValueError("nmax must be >= 1")
-        return CFamily("theorem1", tuple(c_theorem1(n - 1) for n in range(1, nmax + 1)))
+        return CFamily(tuple(c_theorem1(n - 1) for n in range(1, nmax + 1)))
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qcore import column_bytes, newton_horner, q_factorial, qfactorial_coprime
+from .qcore import column_bytes, newton_horner, qfactorial_coprime
 from .qring import QLaurent, ballot
 
 
@@ -64,15 +64,15 @@ def theorem1_columns(n: int) -> tuple[QLaurent, ...]:
 class NumeratorReport(NamedTuple):
     """P_n = [1]_q...[n-1]_q * C_n(x|q), column per x-degree.
 
-    When the denominator does not clear, the columns are those of
-    [n-1]_q! * C_n over the leftover shared denominator (which the report
-    does not carry); the flags are the authority.
+    The report carries no denominator: C_n is the columns over [n-1]_q!.
+    When that denominator does not clear, the columns are those of
+    [n-1]_q! * C_n over a leftover shared denominator, not carried either;
+    the flags are the authority.
     ``coefficient_stats[k]`` is the (min, max) q-exponent of column k.
     """
 
     n: int
     numerator: tuple[QLaurent, ...]
-    denominator: QLaurent
     is_polynomial: bool
     is_irreducible_fraction: bool
     all_coeffs_positive: bool
@@ -96,13 +96,11 @@ def theorem1_numerator(n: int) -> NumeratorReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     cols = theorem1_columns(n - 1)
-    return _numerator_report(n, cols, q_factorial(n - 1), True)
+    return _numerator_report(n, cols, True)
 
 
-def _numerator_report(
-    n: int, cols: tuple[QLaurent, ...], den: QLaurent, cleared: bool
-) -> NumeratorReport:
-    # cleared: every column is an exact multiple, i.e. den * C_n has no
+def _numerator_report(n: int, cols: tuple[QLaurent, ...], cleared: bool) -> NumeratorReport:
+    # cleared: every column is an exact multiple, i.e. [n-1]_q! * C_n has no
     # leftover denominator.
     is_poly = cleared and all(col.is_zero or col.min_exp >= 0 for col in cols)
 
@@ -118,7 +116,6 @@ def _numerator_report(
     return NumeratorReport(
         n=n,
         numerator=cols,
-        denominator=den,
         is_polynomial=is_poly,
         is_irreducible_fraction=irreducible,
         all_coeffs_positive=positive,

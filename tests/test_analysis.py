@@ -29,8 +29,10 @@ from qballot.qring import ONE, Q, ZERO, QLaurent
 
 
 def test_p2_report():
-    r = numerator(2, c_theorem1(1))
-    assert r.denominator == ONE
+    c = c_theorem1(1)
+    r = numerator(2, c)
+    assert q_factorial(1) == ONE
+    assert XPoly([QRatFunc(col, q_factorial(1)) for col in r.numerator]) == c
     assert r.numerator == (ONE, Q)
     assert r.is_polynomial and r.is_irreducible_fraction and r.all_coeffs_positive
     assert r.ok
@@ -38,8 +40,10 @@ def test_p2_report():
 
 
 def test_p3_report():
-    r = numerator(3, c_theorem1(2))
-    assert r.denominator == ONE + Q
+    c = c_theorem1(2)
+    r = numerator(3, c)
+    assert q_factorial(2) == ONE + Q
+    assert XPoly([QRatFunc(col, q_factorial(2)) for col in r.numerator]) == c
     assert r.numerator == (
         QLaurent({0: 1, 1: 2, 2: 1}),
         QLaurent({1: 1, 2: 2, 3: 2}),
@@ -53,8 +57,7 @@ def test_numerator_reconstructs_cn():
     for n in range(1, 9):
         c = c_theorem1(n - 1)
         r = numerator(n, c)
-        assert r.denominator == q_factorial(n - 1)
-        rebuilt = XPoly([QRatFunc(col, r.denominator) for col in r.numerator])
+        rebuilt = XPoly([QRatFunc(col, q_factorial(n - 1)) for col in r.numerator])
         assert rebuilt == c, n
 
 
@@ -219,7 +222,7 @@ def _chain_of_all_points(pts):
 
 def _polytope_of(cols):
     return newton_polytope(NumeratorReport(
-        n=len(cols), numerator=tuple(cols), denominator=ONE, is_polynomial=True,
+        n=len(cols), numerator=tuple(cols), is_polynomial=True,
         is_irreducible_fraction=True, all_coeffs_positive=True, coefficient_stats=(),
     ))
 

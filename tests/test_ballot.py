@@ -321,11 +321,19 @@ def test_andrews_report_lines():
 # table persistence
 
 
+def _saved(t, tmp_path):
+    """The JSON document that t.save writes."""
+    p = tmp_path / "saved.json"
+    t.save(str(p))
+    return json.loads(p.read_text())
+
+
 def test_table_roundtrip(tmp_path):
     t = BallotTable()
     t.get(4, 3)
-    blob = t.dump_json()
+    blob = _saved(t, tmp_path)
     assert blob["schema"] == BallotTable.SCHEMA
+    assert list(blob["entries"]) == [f"{n},{k}" for n, k in sorted(t.known())]
     fresh = BallotTable()
     assert fresh.load_json(blob) == len(t.known())
     assert fresh.known() == t.known()
@@ -349,10 +357,10 @@ def test_table_rejects_unknown_schema(tmp_path):
         BallotTable().load(str(p))
 
 
-def test_table_load_is_all_or_nothing():
+def test_table_load_is_all_or_nothing(tmp_path):
     t = BallotTable()
     t.get(4, 3)
-    blob = t.dump_json()
+    blob = _saved(t, tmp_path)
     # right at q = 1, wrong as a polynomial: the recurrence catches it, after
     # every other entry of the file has been proven
     blob["entries"]["4,3"] = [3, [13, 0, 0, 0, 0, 0, 1]]
@@ -416,14 +424,14 @@ def test_table_widens_across_the_word_boundary():
     assert t.get(13, 13) == qballot_paths(13, 13)
 
 
-def test_table_load_widens_on_the_way():
+def test_table_load_widens_on_the_way(tmp_path):
     # The file's rows pass one word at (37, 37): the proof widens there, and
     # packs again both its own rows and the unread rows the table held.
     written = BallotTable()
     written.get(40, 40)
     t = BallotTable()
     t.get(30, 2)  # the rest of the n <= 30, k <= 2 block stays packed
-    assert t.load_json(written.dump_json()) == len(written)
+    assert t.load_json(_saved(written, tmp_path)) == len(written)
     assert t.known() == written.known()
 
 

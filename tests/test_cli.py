@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import qballot.analysis as analysis
 import qballot.ballot as ballot_mod
 import qballot.cli as cli
+import qballot.csequence as csequence
 import qballot.sweep as sweep
 from qballot.ballot import BallotTable, qballot
 from qballot.cli import main
@@ -100,6 +101,26 @@ def test_catalan_csv(capsys):
     ]
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name; the list returned holds the arguments of each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_catalan_builds_each_value_once(monkeypatch, capsys):
+    # the reversed column is the table row tilde_f(n, n), not a second C_n
+    calls = _count_calls(monkeypatch, ballot_mod, "qcatalan")
+    assert main(["catalan", "--max-n", "40"]) == 0
+    assert calls == [(n,) for n in range(41)]
+
+
 # ---------------------------------------------------------------------------
 # the polynomial family
 
@@ -125,6 +146,12 @@ def test_cx_methods_agree(method, capsys):
     assert data["method"] == method
     assert data["basis"] == "qbinom"
     assert data["coeffs"][0] == "1+3q+3q^2+3q^3+2q^4+q^5+q^6"  # reversed C_4
+
+
+def test_cx_theorem1_builds_only_the_polynomial_it_prints(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, csequence, "c_theorem1")
+    assert main(["cx", "--n", "12", "--method", "theorem1"]) == 0
+    assert calls == [(11,)]
 
 
 def test_cx_rejects_zero(capsys):
@@ -215,7 +242,6 @@ def test_conjecture_json(capsys):
 _NOT_POLYNOMIAL = sweep.NumeratorReport(
     n=2,
     numerator=(ONE,),
-    denominator=ONE,
     is_polynomial=False,
     is_irreducible_fraction=True,
     all_coeffs_positive=True,

@@ -88,11 +88,18 @@ def test_methods_tuple():
     assert METHODS == ("difference", "theorem1", "recurrence")
 
 
+def _named(method, nmax):
+    """C_1..C_nmax from the constructor that method names."""
+    if method == "theorem1":
+        return tuple(c_theorem1(n - 1) for n in range(1, nmax + 1))
+    return tuple({"difference": c_difference, "recurrence": c_recurrence}[method](nmax))
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_family_api(method):
     fam = c_family(method, 4)
     assert isinstance(fam, CFamily)
-    assert fam.method == method
+    assert fam.polys == _named(method, 4)
     assert len(fam) == 4
     assert fam.poly(2) == fam[2]
     assert list(fam)[0] == fam.poly(1)
@@ -117,11 +124,28 @@ def test_unknown_method():
         c_family("newton", 3)
 
 
-def test_c_family_accepts_exactly_the_method_names():
+def test_c_family_accepts_exactly_the_method_names(monkeypatch):
     # the CLI's --method choices come from report.METHODS, without loading csequence
     assert METHODS is report.METHODS
+    # each name runs its own constructor, and nothing else
+    ran = []
+
+    def recording(name):
+        real = getattr(csequence, name)
+
+        def run(n):
+            ran.append(name)
+            return real(n)
+
+        return run
+
+    for name in ("c_difference", "c_recurrence", "c_theorem1"):
+        monkeypatch.setattr(csequence, name, recording(name))
     for method in METHODS:
-        assert c_family(method, 2).method == method
+        ran.clear()
+        fam = c_family(method, 2)
+        assert set(ran) == {f"c_{method}"}
+        assert fam.polys == _named(method, 2)
     for method in ("", "Theorem1", "theorem", "difference "):
         with pytest.raises(ValueError) as exc:
             c_family(method, 2)

@@ -126,6 +126,40 @@ def test_one_reducer():
     assert not {"gcd", "poly_gcd"} & bound_names((SRC / "qcore.py").read_text())
 
 
+def callers(source: str, method: str) -> set[str]:
+    """Names of the functions whose own bodies call `.method(...)`; a call
+    outside every function counts under "<module>"."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == method):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_reversal_in_ballot():
+    # q^s f(m, n | 1/q) is written once, in tilde_f; the reversed q-Catalan
+    # polynomial is the table row tilde_f(n, n)
+    assert callers((SRC / "ballot.py").read_text(), "subs_q_inverse") == {"tilde_f"}
+
+
+def test_callers_checker_sees_the_enclosing_function():
+    src = (
+        "x.f()\n"
+        "def a():\n    y.f()\n\n    def b():\n        return z.f\n"
+        "class C:\n    def c(self):\n        return [w.f() for w in self]\n"
+        "def d():\n    f()\n"
+    )
+    assert callers(src, "f") == {"<module>", "a", "c"}
+
+
 def test_one_home_for_the_suites():
     # Verification suites are built in `analysis`, on the types of `report`.
     binders = {
