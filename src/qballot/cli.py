@@ -192,6 +192,9 @@ def cmd_cx(args: argparse.Namespace) -> tuple[str, int]:
         poly = c_theorem1(args.n - 1)
     else:
         poly = c_family(args.method, args.n).poly(args.n)
+    if args.basis == "monomial" and args.format == "text":
+        # str(poly) builds the reduced coefficients itself.
+        return f"C_{args.n}(x|q) = {poly}\n", 0
     e = to_qbinom_basis(poly) if args.basis == "qbinom" else poly.coeffs
     coeffs = [str(c) for c in e]
     if args.format == "json":
@@ -205,10 +208,8 @@ def cmd_cx(args: argparse.Namespace) -> tuple[str, int]:
         )
     elif args.format == "csv":
         text = _csv_text(("k", "coefficient"), list(enumerate(coeffs)))
-    elif args.basis == "qbinom":
-        text = f"C_{args.n}(x|q) = {format_qbinom(e)}\n"
     else:
-        text = f"C_{args.n}(x|q) = {poly}\n"
+        text = f"C_{args.n}(x|q) = {format_qbinom(e)}\n"
     return text, 0
 
 

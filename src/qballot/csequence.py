@@ -4,10 +4,11 @@ C_1 = 1 and each C_{n+1} is pinned down by a first-order q-difference
 equation together with the side condition C_{n+1}(-1/q) = 0.  Three
 independent constructions are provided:
 
-* ``c_difference`` — solve the q-difference equation directly.  The Hahn
-  operator acts as a shift on the q-binomial basis {x choose k}_q, so the
-  antidifference is a reindexing; the free constant comes from the
-  vanishing condition.
+* ``c_difference`` — solve the q-difference equation on the Laurent
+  coordinates in the q-binomial basis {x choose k}_q.  There the Hahn
+  operator is a shift, so the antidifference is a reindexing, and by the
+  q-Pascal identity x -> 1 + qx is a two-term map; the free constant
+  comes from the vanishing condition.
 * ``c_theorem1`` — closed-form expansion whose q-binomial coefficients
   are reversed weighted-ballot polynomials.  Its integer columns,
   ``theorem1_columns``, live in the leaf ``sweep`` with the conjecture
@@ -15,7 +16,9 @@ independent constructions are provided:
 * ``c_recurrence`` — a three-term-with-tail recurrence whose division by
   [n]_q must be exact (checked; a failure would mean an internal bug).
 
-All three agree; the test-suite pins that down.  Evaluation at
+The difference and recurrence constructions grow coordinates through one
+builder, ``_grow``, each with its own step.  All three agree; the
+test-suite pins that down.  Evaluation at
 q-integers, the q = 1 closed form, and the shifted expansion of
 C_n(qx+1|q) round out the module.
 """
@@ -27,21 +30,11 @@ from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .ballot import tilde_f, tilde_qcatalan
-from .qcore import (
-    XPoly,
-    _subst_laurent,
-    columns_over_qfactorial,
-    from_qbinom_coords,
-    q_int,
-    qbinom_coords,
-)
-from .qlaurent import QRatFunc, RF_ONE, RF_ZERO, lowest_terms, ql_divexact
-from .qring import ONE, Q, ZERO, ExactnessError, QLaurent
+from .qcore import XPoly, columns_over_qfactorial, from_qbinom_coords, q_int
+from .qlaurent import QRatFunc, RF_ONE, RF_ZERO, ql_divexact
+from .qring import ONE, ZERO, ExactnessError, QLaurent
 from .report import METHODS
 from .sweep import theorem1_columns
-
-_Q_SQUARED = QLaurent.monomial(2)
-_ONE_PLUS_Q = ONE + Q
 
 
 class CFamily:
@@ -68,53 +61,54 @@ class CFamily:
         return iter(self.polys)
 
 
-_C1 = XPoly.const(RF_ONE)
+def _grow(step, nmax: int) -> CFamily:
+    """C_1..C_nmax from q-binomial coordinates: C_1 = 1, and each `step`
+    maps the coordinates of C_1..C_n to those of C_{n+1}.  Each member is
+    converted once, at the end."""
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    coords: list[tuple[QLaurent, ...]] = [(ONE,)]
+    while len(coords) < nmax:
+        coords.append(step(coords))
+    return CFamily(tuple(map(from_qbinom_coords, coords)))
 
 
-def _difference_step(cur: XPoly) -> XPoly:
-    # Coordinates of q C_n(q^2 x + 1 + q) over den, shifted up: b_1, b_2, ...
-    cols = _subst_laurent(cur.nums, _Q_SQUARED, _ONE_PLUS_Q)
-    coords, den = lowest_terms(qbinom_coords(cols), cur.den)
-    bs = [c.shifted(1) for c in coords]
+def _pascal(c: Sequence[QLaurent]) -> list[QLaurent]:
+    # {1 + qx choose j}_q = q^j {x choose j}_q + q^(j-1) {x choose j-1}_q,
+    # so in coordinates f(1 + qx)[i] = q^i (c[i] + c[i+1]).
+    return [(a + b).shifted(i) for i, (a, b) in enumerate(zip(c, [*c[1:], ZERO]))]
+
+
+def _difference_step(coords: Sequence[Sequence[QLaurent]]) -> tuple[QLaurent, ...]:
+    # q^2 x + 1 + q is x -> 1 + qx applied twice, so the coordinates of
+    # q C_n(q^2 x + 1 + q), shifted up by the antidifference, are b_1, b_2, ...
+    bs = [b.shifted(1) for b in _pascal(_pascal(coords[-1]))]
     # {-1/q choose j}_q = (-q)^{-j} (each factor -1/q - [i]_q is -[i+1]_q/q),
     # so C_{n+1}(-1/q) = 0 fixes b_0 = sum_{j>=1} (-1)^(j-1) q^(-j) b_j.
     b0 = sum(((b if j % 2 else -b).shifted(-j) for j, b in enumerate(bs, 1)), ZERO)
-    return from_qbinom_coords([b0, *bs], den)
+    return (b0, *bs)
 
 
 def c_difference(nmax: int) -> CFamily:
     """Build C_1..C_nmax from the q-difference equation.
 
-    Each step, on Laurent columns: apply the equation's affine substitution,
-    expand in the q-binomial basis, reduce once (`lowest_terms`), shift
-    indices up by one (the antidifference), and solve the constant term
-    from C_{n+1}(-1/q) = 0 using {-1/q choose j}_q = (-q)^{-j}.
+    Each step works on the Laurent q-binomial coordinates of C_n: apply the
+    two-term map of x -> 1 + qx twice (that is x -> q^2 x + 1 + q), multiply
+    by q, shift indices up by one (the antidifference), and solve the
+    constant term from C_{n+1}(-1/q) = 0 using {-1/q choose j}_q = (-q)^{-j}.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    polys = [_C1]
-    while len(polys) < nmax:
-        polys.append(_difference_step(polys[-1]))
-    return CFamily(tuple(polys))
+    return _grow(_difference_step, nmax)
 
 
-def _x_shift_coords(c: list[QLaurent]) -> list[QLaurent]:
+def _x_shift_coords(c: Sequence[QLaurent]) -> list[QLaurent]:
     # x * {x choose j}_q = [j+1]_q {x choose j+1}_q + [j]_q {x choose j}_q,
     # so in coordinates (x*f)[j] = [j]_q (c[j-1] + c[j]).
-    out: list[QLaurent] = []
-    for j in range(len(c) + 1):
-        s = ZERO
-        if j < len(c):
-            s = s + c[j]
-        if j >= 1:
-            s = s + c[j - 1]
-        out.append(q_int(j) * s)
-    return out
+    return [q_int(j) * (a + b) for j, (a, b) in enumerate(zip([ZERO, *c], [*c, ZERO]))]
 
 
-def _recurrence_step(coords: list[tuple[QLaurent, ...]]) -> tuple[QLaurent, ...]:
+def _recurrence_step(coords: Sequence[Sequence[QLaurent]]) -> tuple[QLaurent, ...]:
     n = len(coords)
-    cn = list(coords[-1])
+    cn = coords[-1]
     head_a = q_int(2 * n - 1)
     rhs = _x_shift_coords(cn)
     rhs = [t.shifted(2 * n - 1) for t in rhs]
@@ -144,14 +138,7 @@ def c_recurrence(nmax: int) -> CFamily:
     two-term shift [j]_q (c[j-1] + c[j]).  Every coordinate of the right
     side must divide exactly by [n]_q; a remainder raises ExactnessError.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    # q-binomial coordinates of C_1..C_n (entry n-1 has length n), kept so
-    # that later steps never re-convert.
-    coords: list[tuple[QLaurent, ...]] = [(ONE,)]
-    while len(coords) < nmax:
-        coords.append(_recurrence_step(coords))
-    return CFamily((_C1, *map(from_qbinom_coords, coords[1:])))
+    return _grow(_recurrence_step, nmax)
 
 
 def theorem1_qbinom_coeffs(n: int) -> tuple[QLaurent, ...]:

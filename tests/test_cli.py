@@ -23,6 +23,7 @@ import qballot.csequence as csequence
 import qballot.sweep as sweep
 from qballot.ballot import BallotTable, qballot
 from qballot.cli import main
+from qballot.qlaurent import QRatFunc
 from qballot.qring import ONE, ExactnessError
 from qballot.report import CheckResult, SuiteReport
 
@@ -152,6 +153,25 @@ def test_cx_theorem1_builds_only_the_polynomial_it_prints(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, csequence, "c_theorem1")
     assert main(["cx", "--n", "12", "--method", "theorem1"]) == 0
     assert calls == [(11,)]
+
+
+def test_cx_monomial_text_reduces_each_coefficient_once(monkeypatch, capsys):
+    # str(poly) builds the reduced coefficients, so text builds them once,
+    # as json does
+    made = []
+    real = QRatFunc.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(QRatFunc, "__init__", counted)
+    counts = {}
+    for fmt in ("text", "json"):
+        made.clear()
+        assert main(["cx", "--n", "10", "--basis", "monomial", "--format", fmt]) == 0
+        counts[fmt] = len(made)
+    assert counts["text"] == counts["json"] > 0
 
 
 def test_cx_rejects_zero(capsys):

@@ -1,10 +1,12 @@
 """The interpolating polynomial family C_n(x|q): three constructions, special
 values, and the q = 1 shadow."""
 
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qballot.ballot as ballot_mod
 import qballot.csequence as csequence
@@ -29,11 +31,13 @@ from qballot.csequence import (
 from qballot.cli import main
 from qballot.qcore import (
     XPoly,
+    from_qbinom_coords,
     hahn_delta,
     q1_specialize,
     q_factorial,
     q_int,
     qbinom_columns,
+    qbinom_x,
     subst_affine,
     to_qbinom_basis,
 )
@@ -185,8 +189,8 @@ def test_recurrence_family_is_built_per_call(monkeypatch):
 
 
 def test_difference_construction_does_no_field_arithmetic(monkeypatch):
-    # every step works on Laurent columns; no Q(q) element is added,
-    # multiplied, divided or negated on the way
+    # every step works on Laurent q-binomial coordinates; no Q(q) element is
+    # added, multiplied, divided or negated on the way
     def refuse(*args):
         raise AssertionError("Q(q) field arithmetic in the difference construction")
 
@@ -195,6 +199,55 @@ def test_difference_construction_does_no_field_arithmetic(monkeypatch):
     fam = c_difference(10)
     for n in range(1, 11):
         assert fam.poly(n) == c_theorem1(n - 1), n
+
+
+def test_difference_construction_stays_on_coordinates(monkeypatch):
+    # The step maps Laurent coordinates to Laurent coordinates: no Hahn loop,
+    # no substitution in x, no basis conversion and no reduction runs in it.
+    want = tuple(c_theorem1(n - 1) for n in range(1, 13))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the difference construction left the coordinates")
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "qballot" or name.startswith("qballot."):
+            for kernel in ("qbinom_coords", "_subst_laurent", "_hahn_laurent",
+                           "lowest_terms", "poly_gcd"):
+                if kernel in vars(module):
+                    monkeypatch.setattr(module, kernel, refuse)
+                    patched.add(kernel)
+    assert len(patched) == 5
+    fam = c_difference(12)
+    monkeypatch.undo()
+    assert fam.polys == want
+
+
+def test_q_pascal_identity():
+    # {1 + qx choose j}_q = q^j {x choose j}_q + q^(j-1) {x choose j-1}_q,
+    # the two-term map the difference step applies to coordinates
+    assert subst_affine(qbinom_x(0), Q, ONE) == qbinom_x(0)
+    for j in range(1, 9):
+        want = qbinom_x(j) * QLaurent.monomial(j) + qbinom_x(j - 1) * QLaurent.monomial(j - 1)
+        assert subst_affine(qbinom_x(j), Q, ONE) == want, j
+
+
+_laurent = st.builds(
+    lambda lo, cs: QLaurent({lo + i: c for i, c in enumerate(cs)}),
+    st.integers(-5, 5),
+    st.lists(st.integers(-(2**64), 2**64), max_size=4),
+)
+
+
+@given(st.lists(_laurent, min_size=1, max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_difference_step_solves_the_equation_on_any_coordinates(c):
+    # Not only the C_n family: for any Laurent coordinates, the step's
+    # result has Hahn difference q f(q^2 x + 1 + q) and vanishes at -1/q.
+    cur = from_qbinom_coords(c)
+    nxt = from_qbinom_coords(csequence._difference_step([c]))
+    assert hahn_delta(nxt) == subst_affine(cur, QLaurent.monomial(2), ONE + Q) * Q
+    assert nxt.eval(QRatFunc(QLaurent.monomial(-1, -1))) == RF_ZERO
 
 
 def test_difference_family_solves_the_defining_equation_in_sympy():

@@ -9,7 +9,8 @@ rather than importing them.  Coefficients are ints, so `fractions` (which
 loads `decimal` and `numbers`) is imported only inside the functions that
 return a Fraction, and for annotations under `if TYPE_CHECKING:`.
 Denominators are reduced in one place, `qlaurent.lowest_terms`, so `qcore`
-binds no gcd of its own.
+binds no gcd of its own.  `csequence` solves the q-difference equation on
+q-binomial coordinates, so it binds none of the kernels that leave them.
 """
 
 import ast
@@ -124,6 +125,30 @@ def test_one_reducer():
     binders = {p.name for p in MODULES if "poly_gcd" in bound_names(p.read_text())}
     assert binders == {"qlaurent.py", "analysis.py"}
     assert not {"gcd", "poly_gcd"} & bound_names((SRC / "qcore.py").read_text())
+
+
+COORDINATE_EXITS = frozenset(
+    {"lowest_terms", "poly_gcd", "qbinom_coords", "_subst_laurent", "_hahn_laurent"}
+)
+
+
+def coordinate_exits(source: str) -> list[str]:
+    """The reducers and basis conversions a module binds."""
+    return sorted(COORDINATE_EXITS & bound_names(source))
+
+
+def test_csequence_stays_on_coordinates():
+    assert coordinate_exits((SRC / "csequence.py").read_text()) == []
+
+
+def test_coordinate_checker_sees_a_planted_name():
+    src = (
+        "from .qcore import XPoly, qbinom_coords as qbinom_coords\n"
+        "from .qlaurent import lowest_terms\n"
+        "def _hahn_laurent(cs):\n    return cs\n"
+        "q_int = 1\n"
+    )
+    assert coordinate_exits(src) == ["_hahn_laurent", "lowest_terms", "qbinom_coords"]
 
 
 def callers(source: str, method: str) -> set[str]:
