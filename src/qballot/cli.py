@@ -184,32 +184,30 @@ def cmd_catalan(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_cx(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 1:
         raise ValueError("--n must be >= 1 (the family starts at C_1)")
-    from .csequence import c_family, c_theorem1, format_qbinom
-    from .qcore import to_qbinom_basis
+    from .csequence import c_family, format_qbinom, theorem1_qbinom_coeffs
+    from .qcore import from_qbinom_coords
 
-    # Theorem 1 builds C_n alone; the other two recurrences need C_1..C_n-1.
+    # Each construction holds C_n as q-binomial coordinates.  Theorem 1 builds
+    # C_n alone; the other two recurrences need C_1..C_n-1.
     if args.method == "theorem1":
-        poly = c_theorem1(args.n - 1)
+        coeffs = theorem1_qbinom_coeffs(args.n - 1)
     else:
-        poly = c_family(args.method, args.n).poly(args.n)
-    if args.basis == "monomial" and args.format == "text":
-        # str(poly) builds the reduced coefficients itself.
-        return f"C_{args.n}(x|q) = {poly}\n", 0
-    e = to_qbinom_basis(poly) if args.basis == "qbinom" else poly.coeffs
-    coeffs = [str(c) for c in e]
+        coeffs = c_family(args.method, args.n).coords[-1]
+    if args.basis == "monomial":
+        poly = from_qbinom_coords(coeffs)
+        if args.format == "text":
+            # str(poly) builds the reduced coefficients itself.
+            return f"C_{args.n}(x|q) = {poly}\n", 0
+        coeffs = poly.coeffs
+    if args.format == "text":
+        return f"C_{args.n}(x|q) = {format_qbinom(coeffs)}\n", 0
+    strs = [str(c) for c in coeffs]
     if args.format == "json":
         text = _json_text(
-            {
-                "n": args.n,
-                "method": args.method,
-                "basis": args.basis,
-                "coeffs": coeffs,
-            }
+            {"n": args.n, "method": args.method, "basis": args.basis, "coeffs": strs}
         )
-    elif args.format == "csv":
-        text = _csv_text(("k", "coefficient"), list(enumerate(coeffs)))
     else:
-        text = f"C_{args.n}(x|q) = {format_qbinom(e)}\n"
+        text = _csv_text(("k", "coefficient"), list(enumerate(strs)))
     return text, 0
 
 

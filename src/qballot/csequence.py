@@ -17,10 +17,10 @@ independent constructions are provided:
   [n]_q must be exact (checked; a failure would mean an internal bug).
 
 The difference and recurrence constructions grow coordinates through one
-builder, ``_grow``, each with its own step.  All three agree; the
-test-suite pins that down.  Evaluation at
-q-integers, the q = 1 closed form, and the shifted expansion of
-C_n(qx+1|q) round out the module.
+builder, ``_grow``, each with its own step; a ``CFamily`` keeps every
+member's Laurent coordinates and converts one only when it is asked for.
+All three agree; the test-suite pins that down.  Evaluation at q-integers,
+the q = 1 closed form and the expansion of C_n(qx+1|q) round out the module.
 """
 
 from __future__ import annotations
@@ -31,46 +31,47 @@ from typing import Iterator, Sequence
 
 from .ballot import tilde_f, tilde_qcatalan
 from .qcore import XPoly, columns_over_qfactorial, from_qbinom_coords, q_int
-from .qlaurent import QRatFunc, RF_ONE, RF_ZERO, ql_divexact
+from .qlaurent import QRatFunc, RF_ONE, ql_divexact
 from .qring import ONE, ZERO, ExactnessError, QLaurent
 from .report import METHODS
 from .sweep import theorem1_columns
 
 
 class CFamily:
-    """C_1 .. C_nmax, the same polynomials whichever method built them;
-    ``poly(n)`` returns C_n(x|q)."""
+    """C_1 .. C_nmax, the same polynomials whichever method built them,
+    held as Laurent q-binomial coordinates; ``poly(n)`` converts C_n(x|q)
+    with ``from_qbinom_coords`` each time it is asked."""
 
-    __slots__ = ("polys",)
+    __slots__ = ("coords",)
 
-    def __init__(self, polys: tuple[XPoly, ...]) -> None:
-        self.polys = polys
+    def __init__(self, coords: tuple[tuple[QLaurent, ...], ...]) -> None:
+        self.coords = coords
 
     def poly(self, n: int) -> XPoly:
-        if not 1 <= n <= len(self.polys):
-            raise IndexError(f"family holds C_1..C_{len(self.polys)}, asked for C_{n}")
-        return self.polys[n - 1]
+        if not 1 <= n <= len(self.coords):
+            raise IndexError(f"family holds C_1..C_{len(self.coords)}, asked for C_{n}")
+        return from_qbinom_coords(self.coords[n - 1])
 
     def __getitem__(self, n: int) -> XPoly:
         return self.poly(n)
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return len(self.coords)
 
     def __iter__(self) -> Iterator[XPoly]:
-        return iter(self.polys)
+        return map(from_qbinom_coords, self.coords)
 
 
 def _grow(step, nmax: int) -> CFamily:
-    """C_1..C_nmax from q-binomial coordinates: C_1 = 1, and each `step`
-    maps the coordinates of C_1..C_n to those of C_{n+1}.  Each member is
-    converted once, at the end."""
+    """C_1..C_nmax as q-binomial coordinates: C_1 = 1, and each `step`
+    maps the coordinates of C_1..C_n to those of C_{n+1}.  No member is
+    converted here."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     coords: list[tuple[QLaurent, ...]] = [(ONE,)]
     while len(coords) < nmax:
         coords.append(step(coords))
-    return CFamily(tuple(map(from_qbinom_coords, coords)))
+    return CFamily(tuple(coords))
 
 
 def _pascal(c: Sequence[QLaurent]) -> list[QLaurent]:
@@ -174,7 +175,7 @@ def c_family(method: str, nmax: int) -> CFamily:
     if method == "theorem1":
         if nmax < 1:
             raise ValueError("nmax must be >= 1")
-        return CFamily(tuple(c_theorem1(n - 1) for n in range(1, nmax + 1)))
+        return CFamily(tuple(map(theorem1_qbinom_coeffs, range(nmax))))
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
@@ -231,11 +232,12 @@ def c_q1_at_int(n: int, m: int) -> QRatFunc:
 # -- rendering ----------------------------------------------------------------
 
 
-def format_qbinom(coeffs: Sequence[QRatFunc]) -> str:
-    """Render q-binomial coordinates as '(1+q) + (q+q^2+q^3)*qbinom(x,1) + ...'."""
+def format_qbinom(coeffs: Sequence[QLaurent | QRatFunc]) -> str:
+    """Render q-binomial coordinates, Laurent or in Q(q), as
+    '(1+q) + (q+q^2+q^3)*qbinom(x,1) + ...'."""
     parts = []
     for j, c in enumerate(coeffs):
-        if c == RF_ZERO:
+        if not c:
             continue
         cs = str(c)
         if ("+" in cs.lstrip("-") or "-" in cs.lstrip("-")) and not cs.startswith("("):

@@ -1,6 +1,7 @@
 """End-to-end coverage of the qballot command-line interface."""
 
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -23,9 +24,10 @@ import qballot.csequence as csequence
 import qballot.sweep as sweep
 from qballot.ballot import BallotTable, qballot
 from qballot.cli import main
+from qballot.qcore import to_qbinom_basis
 from qballot.qlaurent import QRatFunc
-from qballot.qring import ONE, ExactnessError
-from qballot.report import CheckResult, SuiteReport
+from qballot.qring import ONE, ExactnessError, QLaurent
+from qballot.report import METHODS, CheckResult, SuiteReport
 
 # ---------------------------------------------------------------------------
 # tables
@@ -140,19 +142,104 @@ def test_cx_monomial_text(capsys):
     )
 
 
-@pytest.mark.parametrize("method", ["difference", "theorem1", "recurrence"])
+def _cx(capsys, n, method, basis="qbinom", fmt="text"):
+    argv = ["cx", "--n", str(n), "--method", method, "--basis", basis, "--format", fmt]
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_cx_methods_agree(method, capsys):
     assert main(["cx", "--n", "5", "--method", method, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["method"] == method
     assert data["basis"] == "qbinom"
     assert data["coeffs"][0] == "1+3q+3q^2+3q^3+2q^4+q^5+q^6"  # reversed C_4
+    # each method prints what the next one does, byte for byte, but for the
+    # JSON "method" field; going round the three covers every pair
+    other = METHODS[(METHODS.index(method) + 1) % len(METHODS)]
+    for n in range(1, 11):
+        for basis in ("qbinom", "monomial"):
+            for fmt in ("text", "json", "csv"):
+                got = _cx(capsys, n, method, basis, fmt)
+                want = _cx(capsys, n, other, basis, fmt)
+                if fmt == "json":
+                    want = want.replace(f'"method": "{other}"', f'"method": "{method}"')
+                assert got == want, (n, basis, fmt)
 
 
-def test_cx_theorem1_builds_only_the_polynomial_it_prints(monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, csequence, "c_theorem1")
-    assert main(["cx", "--n", "12", "--method", "theorem1"]) == 0
-    assert calls == [(11,)]
+def _qbinom_reference(n, method, fmt):
+    """`cx --basis qbinom` output rendered from the monomial C_n through
+    `to_qbinom_basis`, the conversion the command no longer runs."""
+    coeffs = to_qbinom_basis(csequence.c_theorem1(n - 1))
+    if fmt == "text":
+        return f"C_{n}(x|q) = {csequence.format_qbinom(coeffs)}\n"
+    strs = [str(c) for c in coeffs]
+    if fmt == "json":
+        doc = {"n": n, "method": method, "basis": "qbinom", "coeffs": strs}
+        return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("k", "coefficient"))
+    writer.writerows(enumerate(strs))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_cx_qbinom_matches_the_basis_conversion(method, capsys):
+    for n in range(1, 17):
+        for fmt in ("text", "json", "csv"):
+            want = _qbinom_reference(n, method, fmt)
+            assert _cx(capsys, n, method, fmt=fmt) == want, (n, fmt)
+
+
+def test_cx_qbinom_stays_on_coordinates(monkeypatch, capsys):
+    # every construction holds the coordinates cx prints: no basis
+    # conversion, Newton-Horner pass, sieve or reduction runs, and Theorem 1
+    # builds only the C_n it prints
+    want = {fmt: _qbinom_reference(12, "theorem1", fmt) for fmt in ("text", "json", "csv")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cx --basis qbinom left the coordinates")
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "qballot" or name.startswith("qballot."):
+            for kernel in ("to_qbinom_basis", "qbinom_coords", "_hahn_laurent",
+                           "from_qbinom_coords", "newton_horner",
+                           "reduce_by_qfactorial", "lowest_terms", "poly_gcd"):
+                if kernel in vars(module):
+                    monkeypatch.setattr(module, kernel, refuse)
+                    patched.add(kernel)
+    assert len(patched) == 8
+    calls = _count_calls(monkeypatch, csequence, "theorem1_qbinom_coeffs")
+    for method in METHODS:
+        for fmt, text in want.items():
+            calls.clear()
+            out = _cx(capsys, 12, method, fmt=fmt)
+            if fmt == "json":
+                out = out.replace(f'"method": "{method}"', '"method": "theorem1"')
+            assert out == text, (method, fmt)
+            assert calls == ([(11,)] if method == "theorem1" else [])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_cx_text_stringifies_each_coordinate_once(method, monkeypatch, capsys):
+    # the text line and the json list each render every coordinate once
+    made = []
+    real = QLaurent.__str__
+
+    def counted(self):
+        made.append(self)
+        return real(self)
+
+    monkeypatch.setattr(QLaurent, "__str__", counted)
+    counts = {}
+    for fmt in ("text", "json"):
+        made.clear()
+        _cx(capsys, 12, method, fmt=fmt)
+        counts[fmt] = len(made)
+    assert counts["text"] == counts["json"] == 12
 
 
 def test_cx_monomial_text_reduces_each_coefficient_once(monkeypatch, capsys):

@@ -93,17 +93,18 @@ def test_methods_tuple():
 
 
 def _named(method, nmax):
-    """C_1..C_nmax from the constructor that method names."""
+    """The coordinates of C_1..C_nmax from the constructor that method names."""
     if method == "theorem1":
-        return tuple(c_theorem1(n - 1) for n in range(1, nmax + 1))
-    return tuple({"difference": c_difference, "recurrence": c_recurrence}[method](nmax))
+        return tuple(theorem1_qbinom_coeffs(n - 1) for n in range(1, nmax + 1))
+    return {"difference": c_difference, "recurrence": c_recurrence}[method](nmax).coords
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_family_api(method):
     fam = c_family(method, 4)
     assert isinstance(fam, CFamily)
-    assert fam.polys == _named(method, 4)
+    assert fam.coords == _named(method, 4)
+    assert tuple(fam) == tuple(c_theorem1(n - 1) for n in range(1, 5))
     assert len(fam) == 4
     assert fam.poly(2) == fam[2]
     assert list(fam)[0] == fam.poly(1)
@@ -143,13 +144,15 @@ def test_c_family_accepts_exactly_the_method_names(monkeypatch):
 
         return run
 
-    for name in ("c_difference", "c_recurrence", "c_theorem1"):
+    constructor = {"difference": "c_difference", "recurrence": "c_recurrence",
+                   "theorem1": "theorem1_qbinom_coeffs"}
+    for name in constructor.values():
         monkeypatch.setattr(csequence, name, recording(name))
     for method in METHODS:
         ran.clear()
         fam = c_family(method, 2)
-        assert set(ran) == {f"c_{method}"}
-        assert fam.polys == _named(method, 2)
+        assert set(ran) == {constructor[method]}
+        assert fam.coords == _named(method, 2)
     for method in ("", "Theorem1", "theorem", "difference "):
         with pytest.raises(ValueError) as exc:
             c_family(method, 2)
@@ -201,9 +204,25 @@ def test_difference_construction_does_no_field_arithmetic(monkeypatch):
         assert fam.poly(n) == c_theorem1(n - 1), n
 
 
+def _count_in_qballot(monkeypatch, kernel):
+    """Count the calls of `kernel` through every qballot module that binds it."""
+    calls = []
+    real = getattr(sys.modules["qballot.qcore"], kernel)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "qballot" or name.startswith("qballot.")) and kernel in vars(module):
+            monkeypatch.setattr(module, kernel, counted)
+    return calls
+
+
 def test_difference_construction_stays_on_coordinates(monkeypatch):
     # The step maps Laurent coordinates to Laurent coordinates: no Hahn loop,
-    # no substitution in x, no basis conversion and no reduction runs in it.
+    # no substitution in x, no basis conversion and no reduction runs in it,
+    # and no member is converted until one is asked for.
     want = tuple(c_theorem1(n - 1) for n in range(1, 13))
 
     def refuse(*args, **kwargs):
@@ -218,9 +237,22 @@ def test_difference_construction_stays_on_coordinates(monkeypatch):
                     monkeypatch.setattr(module, kernel, refuse)
                     patched.add(kernel)
     assert len(patched) == 5
+    converted = _count_in_qballot(monkeypatch, "from_qbinom_coords")
     fam = c_difference(12)
+    assert converted == []
     monkeypatch.undo()
-    assert fam.polys == want
+    assert fam.coords == _named("theorem1", 12)
+    assert tuple(fam) == want
+
+
+def test_recurrence_construction_converts_no_member(monkeypatch):
+    # the family holds coordinates; a member is converted only when read
+    converted = _count_in_qballot(monkeypatch, "from_qbinom_coords")
+    fam = c_recurrence(8)
+    assert converted == []
+    assert fam.coords == _named("theorem1", 8)
+    assert fam.poly(8) == c_theorem1(7)
+    assert len(converted) == 1
 
 
 def test_q_pascal_identity():
