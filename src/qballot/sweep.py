@@ -158,6 +158,13 @@ def _conjecture_rows(ns: list[int]) -> list[SweepRow]:
     first error raised, is the serial run's.  With one CPU, no os.fork, or
     a second live thread (a child could inherit one of its locks held), the
     sweep runs serially.
+
+    Each process of the split pins itself to its own CPU of the sorted
+    affinity mask, this one to the first for its share: left alone, the
+    scheduler can keep a forked child on its parent's CPU.  This process
+    gets its mask back before it returns or reruns anything.  A pin is best
+    effort: where it is refused, or there is no mask to restore, the
+    process runs unpinned.
     """
     import marshal
     import os
@@ -171,17 +178,30 @@ def _conjecture_rows(ns: list[int]) -> list[SweepRow]:
         ]
 
     try:
-        cpus = len(os.sched_getaffinity(0))
+        before = os.sched_getaffinity(0)
+        mask = sorted(before)
     except AttributeError:  # the platform has no affinity mask
-        cpus = os.cpu_count() or 1
-    k = min(cpus, len(ns))
+        before = None
+        mask = list(range(os.cpu_count() or 1))
+    k = min(len(mask), len(ns))
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return rows(ns)
+
+    def pin(cpus: set[int]) -> bool:
+        if before is None:
+            return False
+        try:
+            os.sched_setaffinity(0, cpus)
+        except (AttributeError, OSError):
+            return False
+        return True
+
     shares = [sorted(ns, reverse=True)[i::k] for i in range(k)]
     children: list[tuple[int, int]] = []  # pid, read end of its pipe
     done = None  # all the rows, once every share's have arrived with the right n
+    pinned = False
     try:
-        for share in shares[1:]:
+        for cpu, share in zip(mask[1:], shares[1:]):
             fd, w = os.pipe()
             try:
                 pid = os.fork()
@@ -192,6 +212,7 @@ def _conjecture_rows(ns: list[int]) -> list[SweepRow]:
             if pid == 0:  # the child: send its rows, and never return
                 code = 1
                 try:
+                    pin({cpu})
                     os.close(fd)
                     with open(w, "wb") as pipe:
                         pipe.write(marshal.dumps([tuple(r) for r in rows(share)]))
@@ -200,6 +221,7 @@ def _conjecture_rows(ns: list[int]) -> list[SweepRow]:
                     os._exit(code)
             os.close(w)
             children.append((pid, fd))
+        pinned = pin({mask[0]})
         got = rows(shares[0])
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
@@ -209,6 +231,8 @@ def _conjecture_rows(ns: list[int]) -> list[SweepRow]:
     except Exception:
         pass  # below, once no child is left, the serial rerun raises it again
     finally:
+        if pinned:
+            pin(before)
         for pid, fd in children:
             os.close(fd)
             if done is None:

@@ -424,11 +424,21 @@ def test_conjecture_requires_two(capsys):
 SWEEP = ["conjecture", "--max-n", "9"]  # n = 2..9
 
 
+CPUS = (11, 5, 8)  # the k-CPU mask is CPUS[:k]: not 0..k-1, and not in order
+
+
 @pytest.fixture
-def sweep_cpus(monkeypatch):
-    """Set the CPU count the sweep sees; returns the pids it forked."""
+def sweep_cpus(monkeypatch, tmp_path):
+    """Set the CPU mask the sweep sees to CPUS[:k]; returns the pids it forked.
+
+    os.sched_setaffinity is mocked too, so no test narrows this process's
+    real mask: each call, here or in a forked child, sets the mask that
+    os.sched_getaffinity returns in that process and appends "<pid> <cpus>"
+    to a log that `_pins` reads back.  Setting k empties the log."""
     forks = []
     real_fork = os.fork
+    mask = set()
+    log = tmp_path / "pins"
 
     def fork():
         pid = real_fork()
@@ -436,20 +446,48 @@ def sweep_cpus(monkeypatch):
             forks.append(pid)
         return pid
 
+    def setaffinity(pid, cpus):
+        assert pid == 0
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {' '.join(map(str, sorted(cpus)))}\n")
+        mask.clear()
+        mask.update(cpus)
+
     monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
 
     def set_cpus(k):
+        mask.clear()
+        mask.update(CPUS[:k])
+        log.write_text("")
         monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: set(range(k)), raising=False
+            os, "sched_getaffinity", lambda pid: set(mask), raising=False
         )
         return forks
 
     return set_cpus
 
 
+def _pins(tmp_path):
+    """The pins logged by `sweep_cpus`: pid -> the CPU sets it pinned to, in order."""
+    pins = {}
+    for line in (tmp_path / "pins").read_text().splitlines():
+        pid, *cpus = map(int, line.split())
+        pins.setdefault(pid, []).append(set(cpus))
+    return pins
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_pinned_and_restored(tmp_path, k):
+    """This process pinned itself to the first CPU of the k-CPU mask for its
+    share, and then got its whole mask back."""
+    mask = set(CPUS[:k])
+    assert _pins(tmp_path).get(os.getpid()) == [{min(mask)}, mask]
+    assert os.sched_getaffinity(0) == mask
 
 
 def _serial(capsys, sweep_cpus, argv):
@@ -464,7 +502,7 @@ def _serial(capsys, sweep_cpus, argv):
     + [["verify", "conjecture", "--max-n", "9"]],
     ids=["text", "json", "csv", "verify"],
 )
-def test_split_sweep_prints_the_serial_output(argv, capsys, sweep_cpus):
+def test_split_sweep_prints_the_serial_output(argv, capsys, sweep_cpus, tmp_path):
     serial = _serial(capsys, sweep_cpus, argv)
     assert serial[0] == 0
     for k in (2, 3):
@@ -472,7 +510,45 @@ def test_split_sweep_prints_the_serial_output(argv, capsys, sweep_cpus):
         before = len(forks)
         assert (main(argv), capsys.readouterr()) == serial
         assert len(forks) - before == k - 1
+        _assert_pinned_and_restored(tmp_path, k)
         _assert_no_child_left()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_split_pins_each_process_to_its_own_cpu(k, sweep_cpus, tmp_path, capsys):
+    forks = sweep_cpus(k)
+    assert main(SWEEP) == 0
+    mask = sorted(CPUS[:k])
+    pins = _pins(tmp_path)
+    assert pins.pop(os.getpid()) == [{mask[0]}, set(mask)]
+    # The i-th child forked pins itself, once, to mask[i]: no CPU is used twice.
+    assert pins == {pid: [{cpu}] for pid, cpu in zip(forks, mask[1:])}
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["refused", "missing"])
+def test_unpinned_split_prints_the_serial_output(case, monkeypatch, sweep_cpus, capsys):
+    serial = _serial(capsys, sweep_cpus, SWEEP)
+    forks = sweep_cpus(2)
+    if case == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        def refuse(pid, cpus):
+            raise OSError("pin refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    assert (main(SWEEP), capsys.readouterr()) == serial
+    assert len(forks) == 1
+    assert os.sched_getaffinity(0) == set(CPUS[:2])
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+def test_sweep_leaves_the_real_mask_as_it_was(capsys):
+    before = os.sched_getaffinity(0)
+    assert main(SWEEP) == 0
+    assert os.sched_getaffinity(0) == before
+    _assert_no_child_left()
 
 
 def test_split_sweep_keeps_the_largest_n(monkeypatch, sweep_cpus, capsys):
@@ -491,7 +567,7 @@ def test_split_sweep_keeps_the_largest_n(monkeypatch, sweep_cpus, capsys):
     _assert_no_child_left()
 
 
-def test_failed_child_share_is_recomputed(monkeypatch, sweep_cpus, capsys):
+def test_failed_child_share_is_recomputed(monkeypatch, sweep_cpus, capsys, tmp_path):
     serial = _serial(capsys, sweep_cpus, SWEEP)
     parent = os.getpid()
     real = sweep.theorem1_numerator
@@ -505,6 +581,7 @@ def test_failed_child_share_is_recomputed(monkeypatch, sweep_cpus, capsys):
     forks = sweep_cpus(3)
     assert (main(SWEEP), capsys.readouterr()) == serial
     assert len(forks) == 2
+    _assert_pinned_and_restored(tmp_path, 3)
     _assert_no_child_left()
 
 
@@ -514,7 +591,7 @@ def test_failed_child_share_is_recomputed(monkeypatch, sweep_cpus, capsys):
     ids=["garbage", "no-rows", "wrong-rows"],
 )
 def test_child_rows_that_miss_the_share_are_recomputed(
-    sent, monkeypatch, sweep_cpus, capsys
+    sent, monkeypatch, sweep_cpus, capsys, tmp_path
 ):
     serial = _serial(capsys, sweep_cpus, SWEEP)
     parent = os.getpid()
@@ -525,6 +602,7 @@ def test_child_rows_that_miss_the_share_are_recomputed(
     )
     sweep_cpus(2)
     assert (main(SWEEP), capsys.readouterr()) == serial
+    _assert_pinned_and_restored(tmp_path, 2)
     _assert_no_child_left()
 
 
@@ -532,7 +610,9 @@ def test_child_rows_that_miss_the_share_are_recomputed(
     "bad", [{4}, {9}, {4, 9}, {5, 8}], ids=["child", "parent", "both", "mixed"]
 )
 @pytest.mark.parametrize("exc", [ExactnessError, ValueError])
-def test_sweep_error_is_the_serial_error(bad, exc, monkeypatch, sweep_cpus, capsys):
+def test_sweep_error_is_the_serial_error(
+    bad, exc, monkeypatch, sweep_cpus, capsys, tmp_path
+):
     # With 2 workers the parent's share is 9, 7, 5, 3 and the child's
     # 8, 6, 4, 2; the serial run raises at the smallest bad n.
     real = sweep.theorem1_numerator
@@ -548,11 +628,12 @@ def test_sweep_error_is_the_serial_error(bad, exc, monkeypatch, sweep_cpus, caps
     assert serial[1].err.endswith(f"bad n={min(bad)}\n")
     sweep_cpus(2)
     assert (main(SWEEP), capsys.readouterr()) == serial
+    _assert_pinned_and_restored(tmp_path, 2)
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("case", ["one-cpu", "thread", "no-fork"])
-def test_sweep_stays_serial(case, monkeypatch, sweep_cpus, capsys):
+def test_sweep_stays_serial(case, monkeypatch, sweep_cpus, capsys, tmp_path):
     serial = _serial(capsys, sweep_cpus, SWEEP)
     forks = sweep_cpus(1 if case == "one-cpu" else 2)
     if case == "no-fork":
@@ -569,20 +650,24 @@ def test_sweep_stays_serial(case, monkeypatch, sweep_cpus, capsys):
             thread.join(timeout=10)
     assert not thread.is_alive()
     assert forks == []
+    assert _pins(tmp_path) == {}
 
 
-def test_sweep_counts_cpus_without_an_affinity_mask(monkeypatch, sweep_cpus, capsys):
+def test_sweep_counts_cpus_without_an_affinity_mask(
+    monkeypatch, sweep_cpus, capsys, tmp_path
+):
     serial = _serial(capsys, sweep_cpus, SWEEP)
     forks = sweep_cpus(2)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert (main(SWEEP), capsys.readouterr()) == serial
     assert len(forks) == 2
+    assert _pins(tmp_path) == {}  # with no mask to restore, nothing is pinned
     _assert_no_child_left()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
-def test_failed_fork_gives_the_serial_output(monkeypatch, sweep_cpus, capsys):
+def test_failed_fork_gives_the_serial_output(monkeypatch, sweep_cpus, capsys, tmp_path):
     serial = _serial(capsys, sweep_cpus, SWEEP)
     forks = sweep_cpus(3)
     real_fork = os.fork
@@ -596,6 +681,8 @@ def test_failed_fork_gives_the_serial_output(monkeypatch, sweep_cpus, capsys):
     fds = sorted(os.listdir("/proc/self/fd"))
     assert (main(SWEEP), capsys.readouterr()) == serial
     assert len(forks) == 1
+    assert os.getpid() not in _pins(tmp_path)  # the fork failed before its share
+    assert os.sched_getaffinity(0) == set(CPUS[:3])
     _assert_no_child_left()
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
