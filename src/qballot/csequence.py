@@ -26,12 +26,13 @@ the q = 1 closed form and the expansion of C_n(qx+1|q) round out the module.
 from __future__ import annotations
 
 from functools import cache
+from itertools import repeat
 from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .ballot import tilde_f, tilde_qcatalan
-from .qcore import XPoly, columns_over_qfactorial, from_qbinom_coords, q_int
-from .qlaurent import QRatFunc, RF_ONE, ql_divexact
+from .qcore import XPoly, _qint_div, _qint_mul, columns_over_qfactorial, from_qbinom_coords
+from .qlaurent import QRatFunc, RF_ONE
 from .qring import ONE, ZERO, ExactnessError, QLaurent
 from .report import METHODS
 from .sweep import theorem1_columns
@@ -104,25 +105,23 @@ def c_difference(nmax: int) -> CFamily:
 def _x_shift_coords(c: Sequence[QLaurent]) -> list[QLaurent]:
     # x * {x choose j}_q = [j+1]_q {x choose j+1}_q + [j]_q {x choose j}_q,
     # so in coordinates (x*f)[j] = [j]_q (c[j-1] + c[j]).
-    return [q_int(j) * (a + b) for j, (a, b) in enumerate(zip([ZERO, *c], [*c, ZERO]))]
+    return [_qint_mul(a + b, j) for j, (a, b) in enumerate(zip([ZERO, *c], [*c, ZERO]))]
 
 
 def _recurrence_step(coords: Sequence[Sequence[QLaurent]]) -> tuple[QLaurent, ...]:
     n = len(coords)
     cn = coords[-1]
-    head_a = q_int(2 * n - 1)
     rhs = _x_shift_coords(cn)
     rhs = [t.shifted(2 * n - 1) for t in rhs]
     for j, t in enumerate(cn):
-        rhs[j] = rhs[j] + head_a * t
+        rhs[j] = rhs[j] + _qint_mul(t, 2 * n - 1)
     for j in range(n - 1):
-        scal = (q_int(n - j - 1) * tilde_qcatalan(j)).shifted(2 * j + 1)
+        scal = _qint_mul(tilde_qcatalan(j), n - j - 1).shifted(2 * j + 1)
         lower = coords[n - j - 1]
         for i, t in enumerate(lower):
             rhs[i] = rhs[i] + scal * t
-    divisor = q_int(n)
     try:
-        return tuple(ql_divexact(t, divisor) for t in rhs)
+        return tuple(_qint_div(t, n) for t in rhs)
     except ExactnessError as exc:  # pragma: no cover - would be an internal bug
         raise ExactnessError(
             f"recurrence coordinate not divisible by [{n}]_q: {exc}"
@@ -138,6 +137,9 @@ def c_recurrence(nmax: int) -> CFamily:
     worked in q-binomial coordinates where multiplication by x is the
     two-term shift [j]_q (c[j-1] + c[j]).  Every coordinate of the right
     side must divide exactly by [n]_q; a remainder raises ExactnessError.
+    Each product with a q-integer and the division by [n]_q are O(len)
+    passes (`_qint_mul`, `_qint_div`); only the products of the weights
+    [n-j-1]_q Ct_j(q) q^{2j+1} with lower coordinates are schoolbook.
     """
     return _grow(_recurrence_step, nmax)
 
@@ -187,22 +189,68 @@ def c_eval_qint(n: int, k: int) -> QLaurent:
 
     Returns the closed form and cross-checks it against the columns of
     c_theorem1(n) = nums / den: in Z[q, q^-1], sum_i nums[i] [k]_q^i must
-    equal den times the closed form, so no reduction is needed.  A
+    equal den times the closed form, so no reduction is needed.  The check
+    is one equality of integers, both sides evaluated at a power of two
+    wide enough that it is the polynomial equality (`_holds_at_qint`).  A
     mismatch would be an internal bug.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
     val = tilde_f(k + n, n)
     c = c_theorem1(n)
-    node = q_int(k)
-    acc = ZERO
-    for col in reversed(c.nums):
-        acc = acc * node + col
-    if acc != c.den * val:
+    if not _holds_at_qint(c.nums, c.den, val, k):
         raise ExactnessError(
             f"q-integer evaluation disagrees with the polynomial at n={n}, k={k}"
         )
     return val
+
+
+def _holds_at_qint(
+    nums: Sequence[QLaurent], den: QLaurent, val: QLaurent, k: int
+) -> bool:
+    """Is sum_i nums[i] [k]_q^i = den * val in Z[q, q^-1]?
+
+    Both sides, times q^-lo for the lowest exponent lo either has, are
+    polynomials, compared as their values at q = 2^w.  Each coefficient of
+    their difference is at most B = sum_i |nums[i]|_1 k^i + |den|_1 |val|_1
+    in absolute value (|.|_1 the sum of absolute coefficients, and
+    |[k]_q^i|_1 = k^i), and w >= bit_length(B) + 1, so each lies strictly
+    inside +-2^(w-1).  A nonzero difference then cannot vanish at 2^w: its
+    lowest coefficient is no multiple of 2^w.  So the integers are equal iff
+    the polynomials are.  Every coefficient packed is at most B as well.
+    """
+    cols = nums if k else nums[:1]  # [0]_q = 0: only the constant column counts
+    rhs_live = bool(den and val)
+    bound = sum(_l1(c) * k**i for i, c in enumerate(cols)) + _l1(den) * _l1(val)
+    nbytes = (bound.bit_length() + 8) // 8
+    w = 8 * nbytes
+    los = [c.lo for c in cols if c] + ([den.lo + val.lo] if rhs_live else [])
+    if not los:
+        return True  # both sides are 0
+    lo = min(los)
+    node = ((1 << k * w) - 1) // ((1 << w) - 1)  # [k]_q at q = 2^w
+    lhs = 0
+    for c in reversed(cols):
+        lhs = lhs * node + (_at_pow2(c.cs, nbytes) << w * (c.lo - lo) if c else 0)
+    rhs = 0
+    if rhs_live:
+        rhs = _at_pow2(den.cs, nbytes) * _at_pow2(val.cs, nbytes) << w * (den.lo + val.lo - lo)
+    return lhs == rhs
+
+
+def _l1(p: QLaurent) -> int:
+    return sum(map(abs, p.cs))
+
+
+def _at_pow2(run: Sequence[int], nbytes: int) -> int:
+    """sum_i run[i] 2^(w i), w = 8 nbytes, for |run[i]| < 2^w: a run with a
+    negative entry is its positive part minus its negative part, and each
+    nonnegative run is read as one unsigned byte string."""
+    if min(run) < 0:
+        return _at_pow2([max(c, 0) for c in run], nbytes) - _at_pow2(
+            [max(-c, 0) for c in run], nbytes)
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, run, repeat(nbytes), repeat("little"))), "little")
 
 
 # -- the q = 1 specialization -------------------------------------------------

@@ -594,20 +594,42 @@ def qfactorial_coprime(cols: Sequence[QLaurent], d: int) -> bool:
     return reduce_by_qfactorial(cols, d)[1] == q_factorial(d)
 
 
-# q_factorial multiplies by [j]_q = 1 + q + ... + q^(j-1) as a width-j
-# sliding-window sum over the coefficient run, O(len) rather than the
-# O(len * j) schoolbook product.  (qbinom_columns needs no [j]_q products:
-# it works on (1 - q)[j]_q = 1 - q^j.)
+# Multiplying and dividing by [j]_q = 1 + q + ... + q^(j-1) are O(len)
+# passes over the coefficient run rather than O(len * j) schoolbook
+# products: q_factorial, q_stirling and the recurrence construction use
+# them.  (qbinom_columns needs neither: it works on (1 - q)[j]_q = 1 - q^j.)
 
 
 def _qint_mul(p: QLaurent, j: int) -> QLaurent:
-    """p * [j]_q for j >= 0, as a window sum over prefix sums."""
+    """p * [j]_q for j >= 0, as a width-j window sum over prefix sums."""
     if j <= 0 or not p:
         return ZERO
     a, pad = p.cs, [0] * (j - 1)
     # s[i + j] - s[i] = a[i - j + 1] + ... + a[i], with a[<0] = 0
     s = pad + list(accumulate(chain(a, pad), initial=0))
     return _run(p.lo, list(map(sub, s[j:], s[: len(a) + j - 1])))
+
+
+def _qint_div(p: QLaurent, j: int) -> QLaurent:
+    """The exact quotient p / [j]_q for j >= 1; ExactnessError when there is
+    none.
+
+    [j]_q = (1 - q^j)/(1 - q): one difference pass multiplies by 1 - q, and
+    a prefix sum over each residue class mod j divides by 1 - q^j.  The
+    last j sums are the class totals, which add up to (p (1 - q))(1) = 0, so
+    the quotient is exact iff the top j - 1 of them are 0.
+    """
+    if j < 1:
+        raise ValueError("_qint_div needs j >= 1")
+    if j == 1 or not p:
+        return p
+    a = p.cs
+    d = list(map(sub, chain(a, (0,)), chain((0,), a)))
+    for r in range(j):
+        d[r::j] = accumulate(d[r::j])
+    if any(d[-(j - 1):]):
+        raise ExactnessError(f"({p}) is not divisible by [{j}]_q")
+    return _run(p.lo, d[:-j])
 
 
 # -- q-Stirling numbers -------------------------------------------------------
@@ -622,7 +644,7 @@ def q_stirling(n: int, k: int) -> QLaurent:
         return ONE if n == k else ZERO
     if k > n:
         return ZERO
-    return q_stirling(n - 1, k - 1) + q_int(k) * q_stirling(n - 1, k)
+    return q_stirling(n - 1, k - 1) + _qint_mul(q_stirling(n - 1, k), k)
 
 
 # -- q = 1 specialization --------------------------------------------------

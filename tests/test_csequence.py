@@ -1,9 +1,11 @@
 """The interpolating polynomial family C_n(x|q): three constructions, special
 values, and the q = 1 shadow."""
 
+import ast
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -386,12 +388,98 @@ def test_eval_qint_closed_form():
 
 
 def test_eval_qint_certifies_columns_beyond_the_benchmark_sizes():
-    # c_eval_qint checks sum_i cols[i] [k]_q^i = [n]_q! tilde_f(k+n, n) with the
-    # schoolbook product, on the packed kernel's columns at one n inside the
-    # range `conjecture --max-n 27` reads (n <= 26) and one beyond it.
-    for n in (16, 27):
+    # c_eval_qint checks sum_i cols[i] [k]_q^i = den tilde_f(k+n, n) as one
+    # packed integer identity, on the packed kernel's columns at one n inside
+    # the range `conjecture --max-n 27` reads (n <= 26) and two beyond it.
+    for n in (16, 27, 40):
         for k in (0, 1, 2, n):
             assert c_eval_qint(n, k) == tilde_f(k + n, n), (n, k)
+
+
+# The packed identity `_holds_at_qint` against the schoolbook Horner rule in
+# Z[q, q^-1], on Laurent columns with negative and 64-bit coefficients.
+
+wide_laurents = st.builds(
+    lambda cs, lo: QLaurent(enumerate(cs, lo)),
+    st.lists(
+        st.one_of(
+            st.integers(-50, 50),
+            st.sampled_from([2**64, -(2**64), 2**64 - 1, -(2**64) + 1]),
+        ),
+        max_size=8,
+    ),
+    st.integers(-4, 4),
+)
+nonzero_laurents = wide_laurents.filter(bool)
+
+
+def schoolbook_lhs(nums, k):
+    acc = QLaurent()
+    for col in reversed(nums):
+        acc = acc * q_int(k) + col
+    return acc
+
+
+@given(
+    st.lists(wide_laurents, min_size=1, max_size=5),
+    nonzero_laurents,
+    nonzero_laurents,
+    st.integers(0, 12),
+    st.integers(-8, 40),
+    st.sampled_from([1, -1]),
+)
+@settings(max_examples=150, deadline=None)
+def test_packed_identity_is_the_schoolbook_identity(nums, den, val, k, m, sign):
+    # Make the identity true by choosing the constant column, then break it
+    # by one term.
+    rest = schoolbook_lhs([QLaurent(), *nums[1:]], k)
+    nums = [den * val - rest, *nums[1:]]
+    assert schoolbook_lhs(nums, k) == den * val
+    assert csequence._holds_at_qint(nums, den, val, k)
+    wrong = val + QLaurent.monomial(m, sign)
+    assert not csequence._holds_at_qint(nums, den, wrong, k)
+    # a top column adds q^m [k]_q^len(nums), which is 0 only for k = 0
+    extra = [*nums, QLaurent.monomial(m, sign)]
+    assert csequence._holds_at_qint(extra, den, val, k) == (k == 0)
+
+
+def test_packed_identity_takes_laurent_and_zero_columns():
+    # C_3 at [2]_q with its columns moved down by q^-3 and a zero column
+    # appended: both sides carry the same shift.
+    c = c_theorem1(2)
+    nums = [col.shifted(-3) for col in c.nums] + [QLaurent()]
+    assert csequence._holds_at_qint(nums, c.den, tilde_f(4, 2).shifted(-3), 2)
+    assert csequence._holds_at_qint([QLaurent()], ONE, QLaurent(), 5)
+    assert not csequence._holds_at_qint([QLaurent()], ONE, ONE, 5)
+
+
+def test_packed_identity_width_holds_the_whole_bound():
+    # 2^64 and q agree at q = 2^64 but are different polynomials: a width of
+    # 64 bits, one bit short of bit_length(2^64 + 1), would accept them.  64 is
+    # a whole number of bytes, so no rounding up can hide a short width.
+    assert not csequence._holds_at_qint([QLaurent({0: 2**64})], ONE, Q, 1)
+    assert not csequence._holds_at_qint([QLaurent({0: -(2**64)})], ONE, -Q, 1)
+
+
+@pytest.mark.parametrize("w", range(1, 17))
+@pytest.mark.parametrize("side", ["den", "val"])
+def test_packed_identity_width_counts_the_right_side(w, side):
+    # q against 2^w agree at q = 2^w; the left side alone bounds them by 1,
+    # so the right side's |den|_1 |val|_1 must widen the check past w bits.
+    big = QLaurent({0: 2**w})
+    den, val = (big, ONE) if side == "den" else (ONE, big)
+    assert not csequence._holds_at_qint([Q], den, val, 1)
+
+
+def test_packed_identity_shares_no_code_with_the_column_kernel():
+    # The check certifies the columns that newton_horner builds on qcore's
+    # packing, so it must not pack with them.
+    tree = ast.parse(Path(csequence.__file__).read_text())
+    fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    read = set()
+    for name in ("c_eval_qint", "_holds_at_qint", "_at_pow2", "_l1"):
+        read |= {sub.id for sub in ast.walk(fns[name]) if isinstance(sub, ast.Name)}
+    assert not read & {"newton_horner", "_pack", "_unpack", "column_bytes", "_top_bits", "qcore"}
 
 
 @pytest.mark.parametrize("d", [*range(31), 37, 45])

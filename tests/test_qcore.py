@@ -18,7 +18,7 @@ from qballot.qlaurent import (
 from qballot.qring import ONE, Q, ZERO, ExactnessError, QLaurent
 import qballot.qcore as qcore
 import qballot.qlaurent as qlaurent
-from qballot.csequence import c_theorem1
+from qballot.csequence import c_difference, c_recurrence, c_theorem1
 from qballot.qcore import (
     XPoly,
     cyclotomic,
@@ -32,6 +32,7 @@ from qballot.qcore import (
     qbinom_x,
     _column_bound,
     _pack,
+    _qint_div,
     _qint_mul,
     _unpack,
     qbinom_columns,
@@ -536,6 +537,61 @@ dense_laurents = st.builds(
 def test_qint_mul_dense_is_schoolbook(p, j):
     got = _qint_mul(p, j)
     assert got == p * q_int(j)
+
+
+@given(dense_laurents, st.integers(min_value=1, max_value=9))
+@settings(max_examples=80, deadline=None)
+def test_qint_div_undoes_qint_mul(p, j):
+    prod = _qint_mul(p, j)
+    assert _qint_div(prod, j) == p
+    assert _qint_div(prod, j) == ql_divexact(prod, q_int(j))
+
+
+@given(dense_laurents, st.integers(min_value=1, max_value=9))
+@settings(max_examples=80, deadline=None)
+def test_qint_div_is_the_dense_division(p, j):
+    # Either both divisions have the same quotient, or neither has one.
+    try:
+        want = ql_divexact(p, q_int(j))
+    except ExactnessError:
+        with pytest.raises(ExactnessError):
+            _qint_div(p, j)
+    else:
+        assert _qint_div(p, j) == want
+
+
+@given(
+    dense_laurents,
+    st.integers(min_value=2, max_value=9),
+    st.integers(-12, 12),
+    st.sampled_from([1, -1]),
+)
+@settings(max_examples=80, deadline=None)
+def test_qint_div_rejects_a_remainder(p, j, m, sign):
+    with pytest.raises(ExactnessError, match=rf"\[{j}\]_q"):
+        _qint_div(_qint_mul(p, j) + QLaurent.monomial(m, sign), j)
+
+
+def test_qint_div_small_cases():
+    assert _qint_div(q_int(6), 3) == ONE + Q.shifted(2)
+    assert _qint_div(ZERO, 4) == ZERO
+    p = QLaurent({-3: 5, 0: -7})
+    assert _qint_div(p, 1) is p
+    with pytest.raises(ExactnessError):
+        _qint_div(ONE, 2)
+    with pytest.raises(ValueError):
+        _qint_div(ONE, 0)
+
+
+def test_recurrence_divides_by_the_qint_pass(monkeypatch):
+    # c_recurrence divides each coordinate by [n]_q with the pass, not with
+    # the dense synthetic division.
+    def refuse(*args):
+        raise AssertionError("dense division called")
+
+    want = c_difference(10).coords
+    monkeypatch.setattr(qlaurent, "_divexact_dense", refuse)
+    assert c_recurrence(10).coords == want
 
 
 @given(st.lists(st.one_of(dense_laurents, st.just(ZERO)), min_size=1, max_size=7))
