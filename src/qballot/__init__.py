@@ -40,8 +40,8 @@ _HOMES = {
 __all__ = sorted(_HOMES)
 
 _SUBMODULES = (
-    "analysis", "ballot", "cli", "csequence", "qcore", "qlaurent", "qring", "report",
-    "sweep",
+    "analysis", "ballot", "cli", "csequence", "qcore", "qcyclo", "qlaurent", "qring",
+    "report", "sweep",
 )
 
 

@@ -14,6 +14,11 @@ out as the odd integers 1, 3, ..., 2n-3.
 
 ``run_suite`` aggregates every invariant in the package into named,
 CLI-addressable verification suites; their names are ``report.SUITES``.
+At module scope this imports only `qring`, `report`, `sweep`, `qcyclo` and
+`qlaurent`; each suite imports what it reads of the ballot table
+(`ballot`), the `C_n` constructions (`csequence`) and the polynomials in x
+(`qcore`) in its own body, so `polytope` and `verify polytope` compile none
+of those.
 """
 
 from __future__ import annotations
@@ -21,33 +26,7 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .ballot import (
-    path_cap,
-    qballot,
-    qballot_paths,
-    qcatalan,
-    tilde_f,
-    tilde_qcatalan,
-)
-from .csequence import (
-    c_difference,
-    c_eval_qint,
-    c_q1,
-    c_q1_at_int,
-    c_recurrence,
-    c_shifted_theorem1,
-    c_theorem1,
-)
-from .qcore import (
-    XPoly,
-    gauss_binom,
-    q1_specialize,
-    q_factorial,
-    q_int,
-    q_stirling,
-    subst_affine,
-    to_qbinom_basis,
-)
+from .qcyclo import q_factorial, q_int
 from .qlaurent import QRatFunc, RF_ONE, RF_ZERO, poly_gcd, ql_divexact
 from .qring import ONE, Q, ZERO, ExactnessError, QLaurent
 from .report import SUITES, CheckResult, SuiteReport
@@ -60,6 +39,8 @@ from .sweep import (
 
 if TYPE_CHECKING:  # annotations only: importing fractions loads decimal
     from fractions import Fraction
+
+    from .qcore import XPoly
 
 # -- numerator reports --------------------------------------------------------
 
@@ -256,6 +237,9 @@ def svg_polytope(p: NewtonPolytope, title: str = "") -> str:
 # -- named verification suites ------------------------------------------------
 
 def _suite_prop1(maxn: int) -> SuiteReport:
+    from .ballot import path_cap, qballot_paths
+    from .csequence import c_eval_qint
+
     rep = SuiteReport("prop1")
     cap = path_cap()
     for n in range(maxn + 1):
@@ -275,6 +259,9 @@ def _suite_prop1(maxn: int) -> SuiteReport:
 
 
 def _suite_corollary(maxn: int) -> SuiteReport:
+    from .ballot import tilde_qcatalan
+    from .csequence import c_theorem1
+
     rep = SuiteReport("corollary")
     for n in range(1, maxn + 1):
         rep.expect(
@@ -291,6 +278,9 @@ def _suite_corollary(maxn: int) -> SuiteReport:
 
 
 def _suite_prop2(maxn: int) -> SuiteReport:
+    from .csequence import c_q1, c_q1_at_int, c_theorem1
+    from .qcore import q1_specialize
+
     rep = SuiteReport("prop2")
     for n in range(maxn + 1):
         closed = c_q1(n)
@@ -308,6 +298,9 @@ def _suite_prop2(maxn: int) -> SuiteReport:
 
 
 def _suite_thm1(maxn: int) -> SuiteReport:
+    from .csequence import c_difference, c_shifted_theorem1, c_theorem1
+    from .qcore import subst_affine
+
     rep = SuiteReport("thm1")
     fam = c_difference(max(maxn, 1))
     for n in range(1, maxn + 1):
@@ -325,6 +318,8 @@ def _suite_thm1(maxn: int) -> SuiteReport:
 
 
 def _suite_thm2(maxn: int) -> SuiteReport:
+    from .csequence import c_recurrence, c_theorem1
+
     rep = SuiteReport("thm2")
     fam = c_recurrence(max(maxn, 1))
     for n in range(1, maxn + 1):
@@ -337,6 +332,9 @@ def _suite_thm2(maxn: int) -> SuiteReport:
 
 
 def _suite_key_identities(maxn: int) -> SuiteReport:
+    from .ballot import qballot, tilde_f
+    from .qcore import gauss_binom
+
     rep = SuiteReport("key_identities")
     for n in range(maxn + 1):
         for k in range(n + 1):
@@ -374,6 +372,9 @@ def _catalan_number(n: int) -> int:
 
 
 def _suite_q1_identities(maxn: int) -> SuiteReport:
+    from .csequence import c_q1
+    from .qcore import XPoly, subst_affine
+
     # Both q = 1 collapses of the closed-form expansions, C_{n+1}(x|1) and
     # C_n(x+1|1), against sums of the plain binomials x(x-1)...(x-j+1)/j!
     # weighted by ballot numbers; each binomial is the one before it times
@@ -409,6 +410,8 @@ def _suite_q1_identities(maxn: int) -> SuiteReport:
 
 def verify_carlitz_convolution(maxn: int) -> SuiteReport:
     """Check both convolution recurrences for C_{n+1} for all n < maxn."""
+    from .ballot import qcatalan, tilde_qcatalan
+
     rep = SuiteReport("carlitz")
     for n in range(maxn):
         lhs = qcatalan(n + 1)
@@ -435,6 +438,8 @@ ANDREWS_READINGS = (
 
 
 def _andrews_rhs(n: int, catalan, exp_drop: int = 0, tail_power: int = 1) -> QLaurent:
+    from .qcore import gauss_binom
+
     # q^n [2n, n] / [n+1] is an exact polynomial division (the classical
     # q-Catalan), so a genuine Laurent polynomial always comes out.
     head = ql_divexact(gauss_binom(2 * n, n).shifted(n), q_int(n + 1))
@@ -455,6 +460,8 @@ def andrews_check(maxn: int, readings: Iterable[str] = ("literal",)) -> SuiteRep
     Catalan normalization, and "lowered-exponent" drops the stray q^(j+1)
     from each summand (that variant does hold; see README).
     """
+    from .ballot import qcatalan, tilde_qcatalan
+
     rep = SuiteReport("andrews")
     for reading in readings:
         if reading not in ANDREWS_READINGS:
@@ -478,6 +485,8 @@ def andrews_check(maxn: int, readings: Iterable[str] = ("literal",)) -> SuiteRep
 
 
 def _suite_stirling(maxn: int) -> SuiteReport:
+    from .qcore import XPoly, q_stirling, to_qbinom_basis
+
     rep = SuiteReport("stirling")
     for n in range(maxn + 1):
         e = to_qbinom_basis(XPoly([0] * n + [1]))

@@ -15,9 +15,11 @@ the code that writes ``--format json|csv`` or reads and writes ``--cache``.
 Of the package it loads only the ring module ``qring`` and ``report``, and
 each cmd_* function imports what it runs: ``table``, ``ballot`` and
 ``catalan`` the q-ballot table ``ballot``;
-``conjecture`` the leaf ``sweep``, with the column helpers of ``qcore`` and
-the gcd and fraction field, ``qlaurent``, under it; ``cx`` ``csequence``;
-and ``verify`` and ``polytope`` ``analysis``, which brings all of those.
+``conjecture`` the leaf ``sweep``, with only the leaf ``qcyclo`` (the
+[d]_q! sieve and the Newton-Horner core) under it; ``cx`` ``csequence``;
+and ``verify`` and ``polytope`` ``analysis``, which brings ``sweep``,
+``qcyclo`` and the fraction field ``qlaurent``, while each suite imports
+what it reads of ``ballot``, ``csequence`` and ``qcore``.
 Coefficients are ints, and only the functions that return a Fraction import
 ``fractions`` (which loads ``decimal`` and ``numbers``), so only
 ``polytope`` and ``verify polytope`` load it, for the hull slopes.  A

@@ -31,7 +31,8 @@ from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .ballot import tilde_f, tilde_qcatalan
-from .qcore import XPoly, _qint_div, _qint_mul, columns_over_qfactorial, from_qbinom_coords
+from .qcore import XPoly, columns_over_qfactorial, from_qbinom_coords
+from .qcyclo import _qint_div, _qint_mul
 from .qlaurent import QRatFunc, RF_ONE
 from .qring import ONE, ZERO, ExactnessError, QLaurent
 from .report import METHODS

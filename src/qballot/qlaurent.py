@@ -2,9 +2,9 @@
 rational functions.
 
 The ring itself, `QLaurent` with `Q`, `ZERO`, `ONE` and `ExactnessError`,
-lives in the leaf module `qring`; this module builds on it and is loaded
-only by the commands that divide: `cx`, `verify`, `conjecture` and
-`polytope`.  It keeps the name `qlaurent`, and still binds `QLaurent` and
+lives in the leaf module `qring`; this module builds on it, with the dense
+exact division in Z[q] of the leaf `qcyclo`, and is loaded only by the
+commands that reduce fractions: `cx`, `verify` and `polytope`.  It keeps the name `qlaurent`, and still binds `QLaurent` and
 `ExactnessError`, because code outside the package reaches the gcd, exact
 division and fraction field here: `perfbench/layers.py` traces
 `QLaurent.__mul__`, `poly_gcd`, `ql_divexact` and `QRatFunc.__init__`
@@ -28,6 +28,7 @@ from math import gcd as _int_gcd
 from operator import neg
 from typing import TYPE_CHECKING, Sequence
 
+from .qcyclo import _divexact_dense
 from .qring import (
     ExactnessError,
     QLaurent,
@@ -113,30 +114,6 @@ def ql_divexact(a: QLaurent, b: QLaurent) -> QLaurent:
     if quot is None:
         raise ExactnessError(f"({a}) is not divisible by ({b})")
     return _run(a.lo - b.lo, quot)
-
-
-def _divexact_dense(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
-    """Exact quotient in Z[q] of integer runs read from q^0, or None when
-    there is none (a remainder, or a quotient coefficient that is not an
-    integer).  Needs b[0] != 0; when a[-1] and b[-1] are nonzero, so is the
-    quotient's last entry."""
-    n = len(a) - len(b) + 1
-    if n <= 0:
-        return None
-    # Ascending synthetic division: term k of the quotient clears rem[k].
-    b0 = b[0]
-    rem = list(a)
-    quot: list[int] = [0] * n
-    for k in range(n):
-        c = rem[k]
-        if c:
-            c, r = divmod(c, b0)
-            if r:
-                return None
-            quot[k] = c
-            for j, bc in enumerate(b):
-                rem[k + j] -= c * bc
-    return None if any(rem) else quot
 
 
 # -- reduced rational functions ----------------------------------------------

@@ -6,18 +6,19 @@ into the Newton-Horner core (`theorem1_columns`), the flags on the columns
 (`theorem1_numerator`), the per-n verdict the sweep prints (`SweepRow`,
 whose pass rule and failure text `conjecture` and `verify conjecture` both
 read) and the split of the n over forked children (`_conjecture_rows`).  It
-is a leaf over the ring `qring` and the column and `[d]_q!` helpers of
-`qcore`, so a cold sweep compiles neither the ballot table (`ballot`), the
-other two `C_n` constructions (`csequence`) nor the polytope and the
-verification suites (`analysis`).  Those modules import the names they read
-back from here.
+imports only the ring `qring` and the leaf `qcyclo` (the Newton-Horner core
+and the `[d]_q!` sieve), so a cold sweep compiles neither the ballot table
+(`ballot`), the polynomials in x (`qcore`), the fraction field
+(`qlaurent`), the other two `C_n` constructions (`csequence`) nor the
+polytope and the verification suites (`analysis`).  Those modules import
+the names they read back from here.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qcore import column_bytes, newton_horner, qfactorial_coprime
+from .qcyclo import column_bytes, newton_horner, q_factorial, reduce_by_qfactorial
 from .qring import QLaurent, ballot
 
 
@@ -104,7 +105,8 @@ def _numerator_report(n: int, cols: tuple[QLaurent, ...], cleared: bool) -> Nume
     # leftover denominator.
     is_poly = cleared and all(col.is_zero or col.min_exp >= 0 for col in cols)
 
-    irreducible = qfactorial_coprime(cols, n - 1)
+    # The fraction is irreducible iff the sieve divides nothing out.
+    irreducible = reduce_by_qfactorial(cols, n - 1)[1] == q_factorial(n - 1)
 
     # Every term of P_n is positive iff no coefficient of a run is
     # negative: the zeros inside a run are not terms.

@@ -20,7 +20,8 @@ from qballot.analysis import (
     theorem1_numerator,
 )
 from qballot.csequence import c_theorem1
-from qballot.qcore import XPoly, cyclotomic, q_factorial, q_int
+from qballot.qcore import XPoly
+from qballot.qcyclo import cyclotomic, q_factorial, q_int
 from qballot.qlaurent import QRatFunc
 from qballot.qring import ONE, Q, ZERO, QLaurent
 

@@ -36,13 +36,12 @@ from qballot.qcore import (
     from_qbinom_coords,
     hahn_delta,
     q1_specialize,
-    q_factorial,
-    q_int,
     qbinom_columns,
     qbinom_x,
     subst_affine,
     to_qbinom_basis,
 )
+from qballot.qcyclo import q_factorial, q_int
 from qballot.qlaurent import RF_ZERO, QRatFunc
 from qballot.qring import ONE, Q, ExactnessError, QLaurent
 
@@ -472,14 +471,15 @@ def test_packed_identity_width_counts_the_right_side(w, side):
 
 
 def test_packed_identity_shares_no_code_with_the_column_kernel():
-    # The check certifies the columns that newton_horner builds on qcore's
+    # The check certifies the columns that newton_horner builds on qcyclo's
     # packing, so it must not pack with them.
     tree = ast.parse(Path(csequence.__file__).read_text())
     fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     read = set()
     for name in ("c_eval_qint", "_holds_at_qint", "_at_pow2", "_l1"):
         read |= {sub.id for sub in ast.walk(fns[name]) if isinstance(sub, ast.Name)}
-    assert not read & {"newton_horner", "_pack", "_unpack", "column_bytes", "_top_bits", "qcore"}
+    kernel = {"newton_horner", "_pack", "_unpack", "column_bytes", "_top_bits", "qcore", "qcyclo"}
+    assert not read & kernel
 
 
 @pytest.mark.parametrize("d", [*range(31), 37, 45])

@@ -1,7 +1,8 @@
 """Every module of the package uses every name it imports, none imports
 `fractions` at module scope, and only `qlaurent` and the `analysis` oracle
-bind `poly_gcd`; only `report` and `analysis` bind the suite types; and the
-ring module `qring` imports nothing from the package.
+bind `poly_gcd`; only `report` and `analysis` bind the suite types; the
+ring module `qring` imports nothing from the package, and `qcyclo` (with
+the `sweep` over it) nothing but the ring.
 
 A name counts as used when it is read anywhere in the module, annotations
 included.  `__init__.py` is checked too: it loads its exports on first use
@@ -94,17 +95,44 @@ def test_checker_sees_an_unused_import():
     assert unused_imports(unread) == ["line 2: json"]
 
 
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports, anywhere in it, by their names
+    in the package: `qring` for `from .qring import ONE`, `report` for
+    `from . import report`, `qballot` for `import qballot`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qballot")):
+            if node.module in (None, "qballot"):
+                names.update(a.name for a in node.names)
+            else:
+                names.add(node.module.removeprefix("qballot."))
+        elif isinstance(node, ast.Import):
+            names.update(a.name.removeprefix("qballot.") for a in node.names
+                         if a.name.startswith("qballot"))
+    return names
+
+
+def test_package_import_checker_sees_every_form():
+    src = (
+        "from .qring import ONE\nfrom . import report\nimport qballot.qcore\n"
+        "from qballot.qlaurent import Q\nimport os\nfrom math import comb\n"
+        "def f():\n    from .ballot import qballot\n"
+    )
+    assert package_imports(src) == {"qring", "report", "qcore", "qlaurent", "ballot"}
+
+
 def test_the_ring_is_a_leaf():
     # `qring` imports nothing from the package, so the ballot commands that
     # run on the ring alone compile nothing else of it.
-    tree = ast.parse((SRC / "qring.py").read_text())
-    package = [
-        ast.unparse(node)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qballot"))
-        or isinstance(node, ast.Import) and any(a.name.startswith("qballot") for a in node.names)
-    ]
-    assert package == []
+    assert package_imports((SRC / "qring.py").read_text()) == set()
+
+
+def test_the_cyclotomic_layer_is_a_leaf_over_the_ring():
+    # `qcyclo` holds the q-integers, the [d]_q! sieve and the Newton-Horner
+    # core that the conjecture sweep runs; importing nothing of the package
+    # but `qring` keeps `qcore` and `qlaurent` out of a cold `conjecture`.
+    assert package_imports((SRC / "qcyclo.py").read_text()) == {"qring"}
+    assert package_imports((SRC / "sweep.py").read_text()) == {"qring", "qcyclo"}
 
 
 def bound_names(source: str) -> set[str]:

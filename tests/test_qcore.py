@@ -16,30 +16,32 @@ from qballot.qlaurent import (
     ql_divexact,
 )
 from qballot.qring import ONE, Q, ZERO, ExactnessError, QLaurent
-import qballot.qcore as qcore
+import qballot.qcyclo as qcyclo
 import qballot.qlaurent as qlaurent
 from qballot.csequence import c_difference, c_recurrence, c_theorem1
 from qballot.qcore import (
     XPoly,
-    cyclotomic,
     from_qbinom_basis,
     gauss_binom,
     hahn_delta,
     q1_specialize,
-    q_factorial,
-    q_int,
     q_stirling,
     qbinom_x,
+    qbinom_columns,
+    qfactorial_coprime,
+    subst_affine,
+    to_qbinom_basis,
+)
+from qballot.qcyclo import (
+    cyclotomic,
+    q_factorial,
+    q_int,
     _column_bound,
     _pack,
     _qint_div,
     _qint_mul,
     _unpack,
-    qbinom_columns,
-    qfactorial_coprime,
     reduce_by_qfactorial,
-    subst_affine,
-    to_qbinom_basis,
 )
 
 # ---------------------------------------------------------------------------
@@ -590,7 +592,8 @@ def test_recurrence_divides_by_the_qint_pass(monkeypatch):
         raise AssertionError("dense division called")
 
     want = c_difference(10).coords
-    monkeypatch.setattr(qlaurent, "_divexact_dense", refuse)
+    for module in (qcyclo, qlaurent):
+        monkeypatch.setattr(module, "_divexact_dense", refuse)
     assert c_recurrence(10).coords == want
 
 
@@ -684,8 +687,8 @@ def test_unpack_reads_every_digit_under_a_top_digit_of_one(nbytes):
 def test_qbinom_columns_rejects_a_run_1_minus_q_does_not_divide(monkeypatch, extra):
     # Prepending [1] makes r_0(1) = 1, so the first pass fails; prepending
     # [1, -1] adds 1 - q, so the first pass divides and the second fails.
-    unpack = qcore._unpack
-    monkeypatch.setattr(qcore, "_unpack", lambda v, nbytes: [*extra, *unpack(v, nbytes)])
+    unpack = qcyclo._unpack
+    monkeypatch.setattr(qcyclo, "_unpack", lambda v, nbytes: [*extra, *unpack(v, nbytes)])
     bs = [ONE, ONE + Q, Q]
     with pytest.raises(ExactnessError, match="not divisible by 1 - q"):
         qbinom_columns(bs)

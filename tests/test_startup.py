@@ -7,9 +7,11 @@ the --cache file of `ballot` (the one command that takes it) needs them.  Of the
 no module, and the CLI loads each module only for the commands that run
 it: the q-ballot table `ballot` for `table`, `ballot` and `catalan`, and
 `analysis`, `csequence` and `qcore` for the commands that run them.  A cold
-`conjecture` compiles the leaf `sweep`, with the `qcore` column helpers
-under it, and none of `analysis`, `csequence` or `ballot`.  Of the
-arithmetic, the CLI and the ballot ops load the ring module `qring` alone,
+`conjecture` compiles the leaf `sweep`, with the `qcyclo` leaf under it,
+and none of `analysis`, `csequence`, `ballot`, `qcore` or `qlaurent`; a
+cold `polytope` and `verify polytope` compile `analysis` with `sweep`,
+`qcyclo` and `qlaurent`, and none of `ballot`, `csequence` or `qcore`,
+which only the other suites import.  Of the arithmetic, the CLI and the ballot ops load the ring module `qring` alone,
 not `qlaurent` with its gcd and fraction field, and
 `from qballot import QLaurent` loads only the ring.  Coefficients are
 ints, so the ballot ops and the conjecture sweep load no `fractions` (nor
@@ -200,6 +202,31 @@ def test_conjecture_sweep_imports_no_process_pool():
     top = {name.split(".")[0] for name in names}
     assert top & {"multiprocessing", "concurrent", "pickle", "subprocess"} == set()
     assert names & RATIONAL == set()
+
+
+def test_conjecture_compiles_neither_qcore_nor_qlaurent():
+    # the sweep runs the Newton-Horner core and the [d]_q! sieve of the leaf
+    # `qcyclo`, never a polynomial in x or a reduced fraction
+    proc = _run("-X", "importtime", "-m", "qballot.cli", "conjecture", "--max-n", "5")
+    assert proc.returncode == 0, proc.stderr
+    names = _imported(proc.stderr)
+    assert {"qballot.sweep", "qballot.qcyclo"} <= names
+    assert names & {"qballot.qcore", "qballot.qlaurent"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["polytope", "--n", "12", "--format", "svg"], ["verify", "polytope", "--max-n", "6"]],
+    ids=["polytope", "verify-polytope"],
+)
+def test_polytope_compiles_no_table_construction_or_x_polynomial(argv):
+    # `analysis` imports the ballot table, the C_n constructions and `qcore`
+    # inside the suites that read them, and the hull reads none of them
+    proc = _run("-X", "importtime", "-m", "qballot.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    names = _imported(proc.stderr)
+    assert {"qballot.analysis", "qballot.sweep", "qballot.qcyclo"} <= names
+    assert names & {"qballot.ballot", "qballot.csequence", "qballot.qcore"} == set()
 
 
 def test_polytope_loads_fractions_for_its_slopes():

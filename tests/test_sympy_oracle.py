@@ -1,6 +1,6 @@
 """Differential checks of the polynomial kernel against sympy.
 
-sympy shares no code with `qlaurent` or `qcore`, so each check below
+sympy shares no code with `qlaurent`, `qcyclo` or `qcore`, so each check below
 computes the same object twice, once in each: gcds, exact division (with
 its refusal on a remainder), cyclotomic and Gaussian polynomials, and the
 monomial coefficients of C_n(x|q) for n <= 8, the last by Lagrange
@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qballot.csequence import c_family
-from qballot.qcore import cyclotomic, gauss_binom
-from qballot.qlaurent import RF_ZERO, QRatFunc, _divexact_dense, poly_gcd
+from qballot.qcore import gauss_binom
+from qballot.qcyclo import _divexact_dense, cyclotomic
+from qballot.qlaurent import RF_ZERO, QRatFunc, poly_gcd
 from qballot.qring import QLaurent
 from qballot.report import METHODS
 
