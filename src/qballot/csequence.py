@@ -31,8 +31,8 @@ from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .ballot import tilde_f, tilde_qcatalan
-from .qcore import XPoly, columns_over_qfactorial, from_qbinom_coords
-from .qcyclo import _qint_div, _qint_mul
+from .qcore import XPoly, from_qbinom_coords
+from .qcyclo import _qint_div, _qint_mul, q_factorial
 from .qlaurent import QRatFunc, RF_ONE
 from .qring import ONE, ZERO, ExactnessError, QLaurent
 from .report import METHODS
@@ -157,7 +157,7 @@ def theorem1_qbinom_coeffs(n: int) -> tuple[QLaurent, ...]:
 @cache
 def c_theorem1(n: int) -> XPoly:
     """C_{n+1}(x|q) assembled from reversed ballot polynomials."""
-    return columns_over_qfactorial(theorem1_columns(n), n)
+    return XPoly._make(theorem1_columns(n), q_factorial(n))
 
 
 def c_shifted_theorem1(n: int) -> XPoly:

@@ -270,7 +270,9 @@ def qbinom_x(k: int) -> XPoly:
 # and reducing once; outside qlaurent, only analysis.numerator calls
 # poly_gcd.  The q-binomial expansions work on the same columns:
 # qbinom_coords reads coordinates off iterated Hahn steps, and
-# from_qbinom_coords is the one route from coordinates to an XPoly.
+# from_qbinom_coords is the one route from coordinates to an XPoly: one
+# XPoly._make of their Newton-Horner columns over [d]_q!, whose
+# lowest_terms runs the [d]_q! sieve.
 
 
 def _subst_laurent(
@@ -358,8 +360,7 @@ def from_qbinom_basis(coeffs: Sequence[ScalarLike]) -> XPoly:
 def from_qbinom_coords(bs: Sequence[QLaurent], den: QLaurent = ONE) -> XPoly:
     """The polynomial sum_j bs[j] {x choose j}_q / den, for Laurent bs: the
     one route from q-binomial coordinates to an XPoly."""
-    out = columns_over_qfactorial(qbinom_columns(bs), len(bs) - 1)
-    return out if den == ONE else XPoly._make(out.nums, out.den * den)
+    return XPoly._make(qbinom_columns(bs), q_factorial(len(bs) - 1) * den)
 
 
 def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
@@ -383,17 +384,6 @@ def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:
     w = 8 * nbytes
     return newton_horner(
         [_pack(b.cs, nbytes) << (b.lo - lo) * w if b else 0 for b in bs], lo, nbytes)
-
-
-def columns_over_qfactorial(cols: Sequence[QLaurent], d: int) -> XPoly:
-    """The polynomial sum_k cols[k] x^k / [d]_q!, in lowest shared terms."""
-    cols = list(cols)
-    while cols and not cols[-1]:
-        cols.pop()
-    if not cols:
-        return _XP_ZERO
-    # The sieve's result is already in lowest shared terms.
-    return XPoly._raw(*reduce_by_qfactorial(cols, d))
 
 
 def qfactorial_coprime(cols: Sequence[QLaurent], d: int) -> bool:

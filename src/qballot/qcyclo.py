@@ -3,7 +3,8 @@
 This is the part of the q-calculus that the conjecture sweep runs: [n]_q
 and [n]_q! (`q_int`, `q_factorial`), the cyclotomic polynomials
 (`cyclotomic`), the sieve that reduces integer columns over [d]_q! to
-lowest terms (`reduce_by_qfactorial`), the O(len) passes that multiply and
+lowest terms (`reduce_by_qfactorial`, which `qlaurent.lowest_terms` runs
+for every [d]_q! denominator), the O(len) passes that multiply and
 divide by [j]_q (`_qint_mul`, `_qint_div`), the Newton-Horner core that
 turns packed q-binomial coordinates into [d]_q!-scaled x-columns
 (`newton_horner`, with its width `column_bytes` and packing), and the dense
@@ -79,7 +80,8 @@ def reduce_by_qfactorial(
     [d]_q! factors as prod over e >= 2 of Phi_e^floor(d/e), and each Phi_e
     is irreducible over Q, so dividing out every Phi_e that divides every
     column, up to its power in [d]_q!, yields exactly the lowest terms.  An
-    integer evaluation at q = 2 filters hopeless division attempts cheaply.
+    integer evaluation at q = 2 filters hopeless division attempts cheaply,
+    the division by all of [d]_q! that is tried first included.
     Phi_e is primitive, so by Gauss's lemma it divides an integer column in
     Z[q] iff it does in Q[q].  A set with no nonzero column has nothing to
     divide and comes back over [d]_q!.
@@ -92,16 +94,23 @@ def reduce_by_qfactorial(
     runs = [col.cs for _, col in live]
     vals2 = [sum(map(lshift, run, count())) for run in runs]
     full = den = q_factorial(d).cs
-    for e in range(2, d + 1):
-        phi2, phi = _cyclo_at2(e), cyclotomic(e).cs
-        for _ in range(d // e):
-            if any(v2 % phi2 for v2 in vals2):
-                break
-            quots = _divexact_all(runs, phi)
-            if quots is None:
-                break
-            runs, den = quots, _divexact_dense(den, phi)
-            vals2 = [v2 // phi2 for v2 in vals2]
+    # Columns that [d]_q! divides whole, as the values of C_n at polynomial
+    # points are, take one division in place of the Phi_e loop.
+    full2 = sum(map(lshift, full, count()))
+    quots = None if any(v2 % full2 for v2 in vals2) else _divexact_all(runs, full)
+    if quots is not None:
+        runs, den = quots, [1]
+    else:
+        for e in range(2, d + 1):
+            phi2, phi = _cyclo_at2(e), cyclotomic(e).cs
+            for _ in range(d // e):
+                if any(v2 % phi2 for v2 in vals2):
+                    break
+                quots = _divexact_all(runs, phi)
+                if quots is None:
+                    break
+                runs, den = quots, _divexact_dense(den, phi)
+                vals2 = [v2 // phi2 for v2 in vals2]
     if den is full:  # nothing divided out
         return cols, q_factorial(d)
     out = list(cols)

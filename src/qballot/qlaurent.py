@@ -3,8 +3,9 @@ rational functions.
 
 The ring itself, `QLaurent` with `Q`, `ZERO`, `ONE` and `ExactnessError`,
 lives in the leaf module `qring`; this module builds on it, with the dense
-exact division in Z[q] of the leaf `qcyclo`, and is loaded only by the
-commands that reduce fractions: `cx`, `verify` and `polytope`.  It keeps the name `qlaurent`, and still binds `QLaurent` and
+exact division in Z[q] and the [d]_q! sieve of the leaf `qcyclo`, and is
+loaded only by the commands that reduce fractions: `cx`, `verify` and
+`polytope`.  It keeps the name `qlaurent`, and still binds `QLaurent` and
 `ExactnessError`, because code outside the package reaches the gcd, exact
 division and fraction field here: `perfbench/layers.py` traces
 `QLaurent.__mul__`, `poly_gcd`, `ql_divexact` and `QRatFunc.__init__`
@@ -24,11 +25,11 @@ construction always canonicalizes.
 
 from __future__ import annotations
 
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, isqrt
 from operator import neg
 from typing import TYPE_CHECKING, Sequence
 
-from .qcyclo import _divexact_dense
+from .qcyclo import _divexact_dense, q_factorial, reduce_by_qfactorial
 from .qring import (
     ExactnessError,
     QLaurent,
@@ -59,14 +60,9 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     db = len(b) - 1
     lb = b[-1]
     while r and len(r) - 1 >= db:
-        lr = r[-1]
-        if lb == 1:
-            c = lr
-        elif lb == -1:
-            c = -lr
-        else:
+        c = r[-1]
+        if lb != 1:
             r = [lb * x for x in r]
-            c = lr
         shift = len(r) - 1 - db
         for i, bc in enumerate(b):
             r[shift + i] -= c * bc
@@ -128,12 +124,13 @@ def lowest_terms(
     The returned den is a polynomial with a nonzero constant term and a
     positive leading coefficient, and no factor of Z[q] but 1 divides it and
     every returned column: monomials q^m go to the columns, one gcd fold
-    over den and every column (stopping at 1, and skipping the gcd for a
-    column the running gcd divides) is divided out, and so is the gcd of the
-    contents, signed so that den leads positive.  den keeps the rest of its
-    integer content: 1/2 stays 1 over 2.  Equal fraction lists therefore
-    have equal forms.  All-zero columns come back over 1; a zero den raises
-    ZeroDivisionError.
+    over den and every nonzero column (stopping at 1) is divided out, and so
+    is the gcd of the contents, signed so that den leads positive.  den
+    keeps the rest of its integer content: 1/2 stays 1 over 2.  Equal
+    fraction lists therefore have equal forms.  A den that is [d]_q!, the
+    paper's denominators, skips the fold: the sieve `reduce_by_qfactorial`
+    returns that form directly.  All-zero columns come back over 1; a zero
+    den raises ZeroDivisionError.
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
@@ -144,22 +141,16 @@ def lowest_terms(
         den = den.shifted(-v)
         nums = [c.shifted(-v) for c in nums]
     if len(den.cs) > 1:
-        # A column that the running gcd g divides leaves g as it is, so try
-        # that exact division first and run the remainder sequence only on a
-        # remainder.  While g is still den, the quotients are the columns.
-        g, quots = den, []
-        for c in nums:
-            quot = _divexact_dense(c.cs, g.cs) if c else ()
-            if quot is not None:
-                if quots is not None:
-                    quots.append(_run(c.lo, quot))
-                continue
-            g, quots = poly_gcd(g, c), None
+        # [d]_q! has d(d-1)/2 + 1 terms; the sieve's result is canonical.
+        d = isqrt(2 * len(den.cs) - 2) + 1
+        if d * (d - 1) == 2 * len(den.cs) - 2 and den == q_factorial(d):
+            return reduce_by_qfactorial(nums, d)
+        g = den
+        for c in filter(None, nums):
+            g = poly_gcd(g, c)
             if g == _ONE:
                 break
-        if quots is not None:
-            nums, den = quots, _ONE
-        elif g != _ONE:
+        if g != _ONE:
             nums = [ql_divexact(c, g) for c in nums]
             den = ql_divexact(den, g)
     # The integer content: all that den and the columns can share when den

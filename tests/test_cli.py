@@ -21,6 +21,7 @@ import qballot.analysis as analysis
 import qballot.ballot as ballot_mod
 import qballot.cli as cli
 import qballot.csequence as csequence
+import qballot.qlaurent as qlaurent
 import qballot.sweep as sweep
 from qballot.ballot import BallotTable, qballot
 from qballot.cli import main
@@ -259,6 +260,26 @@ def test_cx_monomial_text_reduces_each_coefficient_once(monkeypatch, capsys):
         assert main(["cx", "--n", "10", "--basis", "monomial", "--format", fmt]) == 0
         counts[fmt] = len(made)
     assert counts["text"] == counts["json"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    *(["cx", "--n", "12", "--basis", "monomial", "--format", fmt]
+      for fmt in ("text", "json", "csv")),
+    ["verify", "thm1", "--max-n", "12"],
+    ["verify", "corollary", "--max-n", "10"],
+])
+def test_qfactorial_denominators_take_no_gcd(argv, monkeypatch, capsys):
+    # every denominator these runs reduce is q^s [d]_q!, which
+    # lowest_terms hands to the sieve: the PRS gcd never runs
+    assert main(argv) == 0
+    want = capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("a [d]_q! denominator took the PRS gcd")
+
+    monkeypatch.setattr(qlaurent, "poly_gcd", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
 
 
 def test_cx_rejects_zero(capsys):

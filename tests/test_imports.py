@@ -10,7 +10,9 @@ rather than importing them.  Coefficients are ints, so `fractions` (which
 loads `decimal` and `numbers`) is imported only inside the functions that
 return a Fraction, and for annotations under `if TYPE_CHECKING:`.
 Denominators are reduced in one place, `qlaurent.lowest_terms`, so `qcore`
-binds no gcd of its own.  `csequence` solves the q-difference equation on
+binds no gcd of its own, and the `[d]_q!` sieve `reduce_by_qfactorial` has
+three callers: `lowest_terms`, the sweep's `_numerator_report` and
+`qcore.qfactorial_coprime`.  `csequence` solves the q-difference equation on
 q-binomial coordinates, so it binds none of the kernels that leave them.
 """
 
@@ -179,22 +181,31 @@ def test_coordinate_checker_sees_a_planted_name():
     assert coordinate_exits(src) == ["_hahn_laurent", "lowest_terms", "qbinom_coords"]
 
 
-def callers(source: str, method: str) -> set[str]:
-    """Names of the functions whose own bodies call `.method(...)`; a call
-    outside every function counts under "<module>"."""
+def _calls(source: str, hit) -> set[str]:
+    """Names of the functions whose own bodies make a call whose callee
+    `hit` accepts; a call outside every function counts under "<module>"."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == method):
+        elif isinstance(node, ast.Call) and hit(node.func):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def callers(source: str, method: str) -> set[str]:
+    """The functions that call `.method(...)`."""
+    return _calls(source, lambda f: isinstance(f, ast.Attribute) and f.attr == method)
+
+
+def name_callers(source: str, name: str) -> set[str]:
+    """The functions that call `name(...)` or `module.name(...)`."""
+    return _calls(source, lambda f: name in (getattr(f, "id", None), getattr(f, "attr", None)))
 
 
 def test_one_reversal_in_ballot():
@@ -211,6 +222,29 @@ def test_callers_checker_sees_the_enclosing_function():
         "def d():\n    f()\n"
     )
     assert callers(src, "f") == {"<module>", "a", "c"}
+
+
+def test_three_callers_of_the_sieve():
+    # [d]_q! denominators are reduced by the sieve through lowest_terms; the
+    # sweep's irreducibility flag and qfactorial_coprime read its
+    # denominator directly, and nothing else calls it
+    found = {
+        f"{p.stem}.{owner}"
+        for p in MODULES
+        for owner in name_callers(p.read_text(), "reduce_by_qfactorial")
+    }
+    assert found == {"qlaurent.lowest_terms", "sweep._numerator_report",
+                     "qcore.qfactorial_coprime"}
+
+
+def test_name_callers_sees_bare_and_module_calls():
+    src = (
+        "f()\n"
+        "def a():\n    return mod.f(1)\n"
+        "def b():\n    return f\n"
+        "def c():\n    return x.g(f)\n"
+    )
+    assert name_callers(src, "f") == {"<module>", "a"}
 
 
 def test_one_home_for_the_suites():

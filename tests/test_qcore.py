@@ -472,7 +472,9 @@ def test_reduce_by_qfactorial_matches_generic_reduction(terms, shared, d):
     cols = [QLaurent(t) * common for t in terms]
     got = reduce_by_qfactorial(cols, d)
     if any(cols):
-        assert got == lowest_terms(cols, q_factorial(d))
+        # lowest_terms hands [d]_q! itself to this sieve; over 2 [d]_q! it
+        # runs the PRS gcd fold
+        assert got == lowest_terms([c * 2 for c in cols], q_factorial(d) * 2)
     else:
         assert got == (tuple(cols), q_factorial(d))
 
@@ -480,6 +482,8 @@ def test_reduce_by_qfactorial_matches_generic_reduction(terms, shared, d):
 def test_reduce_by_qfactorial_exact_case():
     got = reduce_by_qfactorial([q_factorial(4) * (ONE + Q), ZERO, q_factorial(4)], 4)
     assert got == ((ONE + Q, ZERO, ONE), ONE)
+    # 21 is [3]_q! at q = 2, yet [3]_q! does not divide it
+    assert reduce_by_qfactorial([QLaurent({0: 21})], 3) == ((QLaurent({0: 21}),), q_factorial(3))
     # Phi_2 divides both columns and leaves; Phi_3 divides only the first
     # and stays in the denominator
     phi3 = cyclotomic(3)

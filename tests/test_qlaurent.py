@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import qballot.qlaurent as qlaurent
+from qballot.qcyclo import cyclotomic, q_factorial
 from qballot.qlaurent import (
     RF_ONE,
     RF_ZERO,
@@ -411,6 +414,67 @@ def test_lowest_terms_is_canonical(nums, den, k, m):
         if c:
             g = poly_gcd(g, c)
     assert g == ONE
+
+
+def gcd_fold(nums, den):
+    """lowest_terms by the PRS gcd alone: monomials to the columns, the gcd
+    of den and every column divided out, then the integer content, signed
+    so that den leads positive."""
+    if not any(nums):
+        return tuple(nums), ONE
+    v = den.min_exp
+    nums, den = [c.shifted(-v) for c in nums], den.shifted(-v)
+    g = den
+    for c in nums:
+        if c:
+            g = poly_gcd(g, c)
+    nums, den = [ql_divexact(c, g) for c in nums], ql_divexact(den, g)
+    k = gcd(*den.cs, *(x for c in nums for x in c.cs))
+    k = -k if den.cs[-1] < 0 else k
+    *nums, den = [QLaurent({e: x // k for e, x in c.items()}) for c in (*nums, den)]
+    return tuple(nums), den
+
+
+@st.composite
+def qfactorial_fractions(draw):
+    """(columns, den, whether lowest_terms hands them to the sieve).
+
+    The columns share a random product of Phi_e, e <= d + 2 (so Phi_1 = q - 1
+    and factors outside [d]_q! occur), maybe q - 2, and an integer.  den is
+    q^s [d]_q!, or one of two denominators the sieve must not take: q^s
+    [d]_q! (q - 2) and q^s [a]_q! [b]_q!."""
+    d = draw(st.integers(min_value=0, max_value=7))
+    common = QLaurent({0: draw(st.integers(min_value=-6, max_value=6).filter(bool))})
+    for e in draw(st.lists(st.integers(min_value=1, max_value=d + 2), max_size=6)):
+        common = common * cyclotomic(e)
+    if draw(st.booleans()):
+        common = common * (Q - 2)
+    cols = [c * common for c in draw(st.lists(laurents(max_terms=4), max_size=4))]
+    kind = draw(st.sampled_from(("qfactorial", "times q - 2", "two factorials")))
+    den = q_factorial(d)
+    if kind == "times q - 2":
+        den = den * (Q - 2)
+    elif kind == "two factorials":
+        a, b = draw(st.lists(st.integers(min_value=2, max_value=5), min_size=2, max_size=2))
+        den = q_factorial(a) * q_factorial(b)
+    s = draw(st.integers(min_value=-3, max_value=3))
+    return cols, den.shifted(s), kind == "qfactorial" and d >= 2 and any(cols)
+
+
+@given(qfactorial_fractions())
+# [3]_q! is 21 at q = 2, so 21 passes the sieve's whole-[d]_q! filter but
+# [3]_q! does not divide it
+@example(([QLaurent({0: 21}), ZERO], q_factorial(3), True))
+@example(([q_factorial(4) * (ONE + Q), ZERO], q_factorial(4).shifted(2), True))
+@example(([q_factorial(4) * -3, Q - ONE], q_factorial(4), True))
+@settings(max_examples=150, deadline=None)
+def test_lowest_terms_matches_the_gcd_fold(case):
+    cols, den, sieved = case
+    with mock.patch.object(qlaurent, "reduce_by_qfactorial",
+                           wraps=qlaurent.reduce_by_qfactorial) as sieve:
+        got = lowest_terms(cols, den)
+    assert got == gcd_fold(cols, den)
+    assert sieve.called == sieved
 
 
 def test_ratfunc_zero():
