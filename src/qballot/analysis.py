@@ -7,10 +7,12 @@ whether every coefficient is positive — all as report fields, never
 exceptions.  The report and the route that reads it straight off the
 Theorem 1 columns (`theorem1_numerator`, and the conjecture sweep over it)
 live in the leaf `sweep`, which a cold `conjecture` runs alone; `numerator`
-here is the oracle that clears the denominator of any C_n.  The Newton
-polytope of P_n (q-exponent horizontal, x-exponent vertical) is computed
-with exact integer arithmetic; the upper hull's slopes, read as dq/dx, come
-out as the odd integers 1, 3, ..., 2n-3.
+here is the oracle that clears the denominator of any C_n and returns the
+columns with their report.  The Newton polytope of P_n (q-exponent
+horizontal, x-exponent vertical) is computed from the columns alone, with
+exact integer arithmetic, so `polytope` and `verify polytope` pass it
+`theorem1_columns` and compute no flag; the upper hull's slopes, read as
+dq/dx, come out as the odd integers 1, 3, ..., 2n-3.
 
 ``run_suite`` aggregates every invariant in the package into named,
 CLI-addressable verification suites; their names are ``report.SUITES``.
@@ -24,18 +26,13 @@ of those.
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .qcyclo import q_factorial, q_int
 from .qlaurent import QRatFunc, RF_ONE, RF_ZERO, poly_gcd, ql_divexact
 from .qring import ONE, Q, ZERO, ExactnessError, QLaurent
 from .report import SUITES, CheckResult, SuiteReport
-from .sweep import (
-    NumeratorReport,
-    _conjecture_rows,
-    _numerator_report,
-    theorem1_numerator,
-)
+from .sweep import NumeratorReport, _conjecture_rows, _numerator_report, theorem1_columns
 
 if TYPE_CHECKING:  # annotations only: importing fractions loads decimal
     from fractions import Fraction
@@ -45,8 +42,10 @@ if TYPE_CHECKING:  # annotations only: importing fractions loads decimal
 # -- numerator reports --------------------------------------------------------
 
 
-def numerator(n: int, c: XPoly) -> NumeratorReport:
-    """Clear [1]_q...[n-1]_q from C_n(x|q) and report on the result."""
+def numerator(n: int, c: XPoly) -> tuple[tuple[QLaurent, ...], NumeratorReport]:
+    """Clear [1]_q...[n-1]_q from C_n(x|q): the x-columns of the result, and
+    the report on them.  When the denominator does not clear, the columns
+    are those of [n-1]_q! * C_n over a leftover shared denominator."""
     if n < 1:
         raise ValueError("n must be >= 1")
     den = q_factorial(n - 1)
@@ -55,7 +54,7 @@ def numerator(n: int, c: XPoly) -> NumeratorReport:
     g = poly_gcd(den, c.den)
     scale = ql_divexact(den, g)
     cols = tuple(col * scale for col in c.nums)
-    return _numerator_report(n, cols, g == c.den)
+    return cols, _numerator_report(n, cols, g == c.den)
 
 
 # -- Newton polytopes ---------------------------------------------------------
@@ -90,28 +89,30 @@ class NewtonPolytope(NamedTuple):
         }
 
 
-def newton_polytope(r: NumeratorReport) -> NewtonPolytope:
-    """Convex hull of the exponents of P_n, by monotone chain over exact ints.
+def newton_polytope(cols: Sequence[QLaurent]) -> NewtonPolytope:
+    """Convex hull of the exponents of P_n, given its x-columns lowest
+    x-degree first, by monotone chain over exact ints.
 
-    Raises ValueError when P_n does not clear its denominator, is zero, or
-    has an upper hull edge of constant x-exponent (the one column 1 + q,
-    say), since such an edge has no slope dq/dx.
+    Raises ValueError when a column has a negative q-exponent (P_n is not a
+    polynomial), when every column is zero, or when the upper hull has an
+    edge of constant x-exponent (the one column 1 + q, say), since such an
+    edge has no slope dq/dx.
     """
     from fractions import Fraction
 
-    if not r.is_polynomial:
-        raise ValueError("numerator did not clear its denominator; no polytope")
     # the (e, k) pairs are distinct, so no set is needed to sort them
     pts = sorted(
         [
             (e, k)
-            for k, col in enumerate(r.numerator)
+            for k, col in enumerate(cols)
             for e, c in enumerate(col.cs, col.lo)
             if c
         ]
     )
     if not pts:
         raise ValueError("zero polynomial has no polytope")
+    if pts[0][0] < 0:
+        raise ValueError("a column has a negative q-exponent; no polytope")
     if len(pts) == 1:
         p = pts[0]
         return NewtonPolytope((p,), (p,), (p,), (p,), ())
@@ -120,7 +121,7 @@ def newton_polytope(r: NumeratorReport) -> NewtonPolytope:
     ends = sorted(
         {
             (e, k)
-            for k, col in enumerate(r.numerator)
+            for k, col in enumerate(cols)
             if not col.is_zero
             for e in (col.min_exp, col.max_exp)
         }
@@ -175,6 +176,7 @@ def svg_polytope(p: NewtonPolytope, title: str = "") -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if title:
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(
             f'<text x="{margin}" y="{margin // 2}" font-family="monospace" '
             f'font-size="14">{title}</text>'
@@ -512,7 +514,7 @@ def _suite_conjecture(maxn: int) -> SuiteReport:
 def _suite_polytope(maxn: int) -> SuiteReport:
     rep = SuiteReport("polytope")
     for n in range(2, maxn + 1):
-        p = newton_polytope(theorem1_numerator(n))
+        p = newton_polytope(theorem1_columns(n - 1))
         want = expected_upper_slopes(n)
         ok = p.upper_hull_slopes == want
         detail = f"slopes={[str(s) for s in p.upper_hull_slopes]}"

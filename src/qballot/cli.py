@@ -239,7 +239,7 @@ def cmd_conjecture(args: argparse.Namespace) -> tuple[str, int]:
     maxn = args.max_n
     if maxn < 2:
         raise ValueError("--max-n must be >= 2")
-    from .sweep import SweepRow, _conjecture_rows
+    from .sweep import NumeratorReport, _conjecture_rows
 
     rows = _conjecture_rows(list(range(2, maxn + 1)))
     ok = all(r.ok for r in rows)
@@ -247,7 +247,7 @@ def cmd_conjecture(args: argparse.Namespace) -> tuple[str, int]:
         results = [r._asdict() for r in rows]
         text = _json_text({"max_n": maxn, "all_ok": ok, "results": results})
     elif args.format == "csv":
-        columns = SweepRow._fields[:4]  # every field but coefficient_stats
+        columns = NumeratorReport._fields[:4]  # every field but coefficient_stats
         text = _csv_text(columns, [[getattr(r, c) for c in columns] for r in rows])
     else:
         lines = [f"n={r.n}: " + ("ok" if r.ok else f"FAIL {r.failure}") for r in rows]
@@ -262,9 +262,9 @@ def cmd_polytope(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 2:
         raise ValueError("--n must be >= 2 (P_1 is a single point)")
     from .analysis import newton_polytope, svg_polytope
-    from .sweep import theorem1_numerator
+    from .sweep import theorem1_columns
 
-    p = newton_polytope(theorem1_numerator(args.n))
+    p = newton_polytope(theorem1_columns(args.n - 1))
     if args.format == "svg":
         text = svg_polytope(p, title=f"P_{args.n} exponents")
     else:

@@ -270,9 +270,10 @@ def qbinom_x(k: int) -> XPoly:
 # and reducing once; outside qlaurent, only analysis.numerator calls
 # poly_gcd.  The q-binomial expansions work on the same columns:
 # qbinom_coords reads coordinates off iterated Hahn steps, and
-# from_qbinom_coords is the one route from coordinates to an XPoly: one
-# XPoly._make of their Newton-Horner columns over [d]_q!, whose
-# lowest_terms runs the [d]_q! sieve.
+# from_qbinom_coords is the one route from Laurent coordinates to an XPoly:
+# one XPoly._make of their Newton-Horner columns over [d]_q!, whose
+# lowest_terms runs the [d]_q! sieve.  from_qbinom_basis makes the same
+# XPoly._make over [d]_q! times the coordinates' shared denominator.
 
 
 def _subst_laurent(
@@ -354,13 +355,14 @@ def to_qbinom_basis(f: XPoly) -> tuple[QRatFunc, ...]:
 def from_qbinom_basis(coeffs: Sequence[ScalarLike]) -> XPoly:
     """Reassemble sum_j coeffs[j] {x choose j}_q in the monomial basis."""
     f = XPoly(coeffs)
-    return from_qbinom_coords(f.nums or (ZERO,), f.den)
+    bs = f.nums or (ZERO,)
+    return XPoly._make(qbinom_columns(bs), q_factorial(len(bs) - 1) * f.den)
 
 
-def from_qbinom_coords(bs: Sequence[QLaurent], den: QLaurent = ONE) -> XPoly:
-    """The polynomial sum_j bs[j] {x choose j}_q / den, for Laurent bs: the
-    one route from q-binomial coordinates to an XPoly."""
-    return XPoly._make(qbinom_columns(bs), q_factorial(len(bs) - 1) * den)
+def from_qbinom_coords(bs: Sequence[QLaurent]) -> XPoly:
+    """The polynomial sum_j bs[j] {x choose j}_q, for Laurent bs: the one
+    route from q-binomial coordinates to an XPoly."""
+    return XPoly._make(qbinom_columns(bs), q_factorial(len(bs) - 1))
 
 
 def qbinom_columns(bs: Sequence[QLaurent]) -> tuple[QLaurent, ...]:

@@ -2,16 +2,16 @@
 integer columns, and the conjecture sweep over n.
 
 This is all that `conjecture` runs: the packed pass of the ballot recurrence
-into the Newton-Horner core (`theorem1_columns`), the flags on the columns
-(`theorem1_numerator`), the per-n verdict the sweep prints (`SweepRow`,
-whose pass rule and failure text `conjecture` and `verify conjecture` both
-read) and the split of the n over forked children (`_conjecture_rows`).  It
-imports only the ring `qring` and the leaf `qcyclo` (the Newton-Horner core
-and the `[d]_q!` sieve), so a cold sweep compiles neither the ballot table
-(`ballot`), the polynomials in x (`qcore`), the fraction field
-(`qlaurent`), the other two `C_n` constructions (`csequence`) nor the
-polytope and the verification suites (`analysis`).  Those modules import
-the names they read back from here.
+into the Newton-Horner core (`theorem1_columns`), the per-n verdict on the
+columns (`theorem1_numerator`, a `NumeratorReport`, whose pass rule and
+failure text `conjecture` and `verify conjecture` both read) and the split
+of the n over forked children (`_conjecture_rows`).  `polytope` reads the
+columns alone, with no verdict.  The module imports only the ring `qring`
+and the leaf `qcyclo` (the Newton-Horner core and the `[d]_q!` sieve), so a
+cold sweep compiles neither the ballot table (`ballot`), the polynomials in
+x (`qcore`), the fraction field (`qlaurent`), the other two `C_n`
+constructions (`csequence`) nor the polytope and the verification suites
+(`analysis`).  Those modules import the names they read back from here.
 """
 
 from __future__ import annotations
@@ -63,17 +63,16 @@ def theorem1_columns(n: int) -> tuple[QLaurent, ...]:
 
 
 class NumeratorReport(NamedTuple):
-    """P_n = [1]_q...[n-1]_q * C_n(x|q), column per x-degree.
+    """The verdict on P_n = [1]_q...[n-1]_q * C_n(x|q), column per x-degree:
+    `ok` is its pass rule, and `failure` spells out the three flags.
 
-    The report carries no denominator: C_n is the columns over [n-1]_q!.
-    When that denominator does not clear, the columns are those of
-    [n-1]_q! * C_n over a leftover shared denominator, not carried either;
+    The report carries neither the columns of P_n nor a denominator: C_n is
+    the columns over [n-1]_q!, and when that denominator does not clear,
     the flags are the authority.
     ``coefficient_stats[k]`` is the (min, max) q-exponent of column k.
     """
 
     n: int
-    numerator: tuple[QLaurent, ...]
     is_polynomial: bool
     is_irreducible_fraction: bool
     all_coeffs_positive: bool
@@ -85,6 +84,14 @@ class NumeratorReport(NamedTuple):
             self.is_polynomial
             and self.is_irreducible_fraction
             and self.all_coeffs_positive
+        )
+
+    @property
+    def failure(self) -> str:
+        return (
+            f"polynomial={self.is_polynomial} "
+            f"irreducible={self.is_irreducible_fraction} "
+            f"positive={self.all_coeffs_positive}"
         )
 
 
@@ -117,7 +124,6 @@ def _numerator_report(n: int, cols: tuple[QLaurent, ...], cleared: bool) -> Nume
     )
     return NumeratorReport(
         n=n,
-        numerator=cols,
         is_polynomial=is_poly,
         is_irreducible_fraction=irreducible,
         all_coeffs_positive=positive,
@@ -125,36 +131,14 @@ def _numerator_report(n: int, cols: tuple[QLaurent, ...], cleared: bool) -> Nume
     )
 
 
-class SweepRow(NamedTuple):
-    """The fields of theorem1_numerator(n) that the conjecture sweep prints,
-    with its verdict: `ok` is `NumeratorReport.ok`, and `failure` spells out
-    the three flags."""
-
-    n: int
-    is_polynomial: bool
-    is_irreducible_fraction: bool
-    all_coeffs_positive: bool
-    coefficient_stats: tuple[tuple[int, int], ...]
-
-    ok = NumeratorReport.ok
-
-    @property
-    def failure(self) -> str:
-        return (
-            f"polynomial={self.is_polynomial} "
-            f"irreducible={self.is_irreducible_fraction} "
-            f"positive={self.all_coeffs_positive}"
-        )
-
-
-def _conjecture_rows(ns: list[int]) -> list[SweepRow]:
-    """The `SweepRow` of each n of the ascending list ns.
+def _conjecture_rows(ns: list[int]) -> list[NumeratorReport]:
+    """`theorem1_numerator(n)` for each n of the ascending list ns.
 
     The n are split over one process per available CPU.  Sorted largest
     first, they are dealt round-robin; this process keeps the first share,
     and each forked child sends its rows back through a pipe as marshal
     data, plain tuples (marshal refuses a tuple subclass), which this
-    process rebuilds into rows.  Any fault (an error here, a child that
+    process rebuilds into reports.  Any fault (an error here, a child that
     exits nonzero, or rows whose n are not the child's share) kills and
     reaps every child, then reruns every n here, so the output, or the
     first error raised, is the serial run's.  With one CPU, no os.fork, or
@@ -172,12 +156,8 @@ def _conjecture_rows(ns: list[int]) -> list[SweepRow]:
     import os
     import threading
 
-    def rows(share: list[int]) -> list[SweepRow]:
-        return [
-            SweepRow(r.n, r.is_polynomial, r.is_irreducible_fraction,
-                     r.all_coeffs_positive, r.coefficient_stats)
-            for r in map(theorem1_numerator, share)
-        ]
+    def rows(share: list[int]) -> list[NumeratorReport]:
+        return list(map(theorem1_numerator, share))
 
     try:
         before = os.sched_getaffinity(0)
@@ -227,7 +207,7 @@ def _conjecture_rows(ns: list[int]) -> list[SweepRow]:
         got = rows(shares[0])
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
-                got += map(SweepRow._make, marshal.loads(pipe.read()))
+                got += map(NumeratorReport._make, marshal.loads(pipe.read()))
         if [r.n for r in got] == [n for share in shares for n in share]:
             done = got
     except Exception:

@@ -17,13 +17,13 @@ from qballot.analysis import (
     numerator,
     run_suite,
     svg_polytope,
-    theorem1_numerator,
 )
 from qballot.csequence import c_theorem1
 from qballot.qcore import XPoly
 from qballot.qcyclo import cyclotomic, q_factorial, q_int
 from qballot.qlaurent import QRatFunc
 from qballot.qring import ONE, Q, ZERO, QLaurent
+from qballot.sweep import theorem1_columns, theorem1_numerator
 
 # ---------------------------------------------------------------------------
 # numerator reports
@@ -31,10 +31,10 @@ from qballot.qring import ONE, Q, ZERO, QLaurent
 
 def test_p2_report():
     c = c_theorem1(1)
-    r = numerator(2, c)
+    cols, r = numerator(2, c)
     assert q_factorial(1) == ONE
-    assert XPoly([QRatFunc(col, q_factorial(1)) for col in r.numerator]) == c
-    assert r.numerator == (ONE, Q)
+    assert XPoly([QRatFunc(col, q_factorial(1)) for col in cols]) == c
+    assert cols == (ONE, Q)
     assert r.is_polynomial and r.is_irreducible_fraction and r.all_coeffs_positive
     assert r.ok
     assert r.coefficient_stats == ((0, 0), (1, 1))
@@ -42,10 +42,10 @@ def test_p2_report():
 
 def test_p3_report():
     c = c_theorem1(2)
-    r = numerator(3, c)
+    cols, r = numerator(3, c)
     assert q_factorial(2) == ONE + Q
-    assert XPoly([QRatFunc(col, q_factorial(2)) for col in r.numerator]) == c
-    assert r.numerator == (
+    assert XPoly([QRatFunc(col, q_factorial(2)) for col in cols]) == c
+    assert cols == (
         QLaurent({0: 1, 1: 2, 2: 1}),
         QLaurent({1: 1, 2: 2, 3: 2}),
         QLaurent.monomial(4),
@@ -57,23 +57,24 @@ def test_p3_report():
 def test_numerator_reconstructs_cn():
     for n in range(1, 9):
         c = c_theorem1(n - 1)
-        r = numerator(n, c)
-        rebuilt = XPoly([QRatFunc(col, q_factorial(n - 1)) for col in r.numerator])
+        cols, _ = numerator(n, c)
+        rebuilt = XPoly([QRatFunc(col, q_factorial(n - 1)) for col in cols])
         assert rebuilt == c, n
 
 
 def test_numerator_flags_hold_through_twelve():
     for n in range(2, 13):
-        assert numerator(n, c_theorem1(n - 1)).ok, n
+        assert numerator(n, c_theorem1(n - 1))[1].ok, n
 
 
 def test_theorem1_numerator_matches_numerator_oracle():
     # the column-built report against clearing the reduced C_n again
     for n in range(2, 16):
         got = theorem1_numerator(n)
-        want = numerator(n, c_theorem1(n - 1))
+        cols, want = numerator(n, c_theorem1(n - 1))
         for name in NumeratorReport._fields:
             assert getattr(got, name) == getattr(want, name), (n, name)
+        assert cols == theorem1_columns(n - 1), n
 
 
 def test_numerator_rejects_bad_n():
@@ -86,33 +87,39 @@ def test_numerator_rejects_bad_n():
 def test_numerator_uncleared_denominator():
     # a coefficient whose denominator is not inside [n-1]_q!
     c = XPoly([QRatFunc(ONE, cyclotomic(5))])
-    r = numerator(3, c)
+    cols, r = numerator(3, c)
     assert not r.is_polynomial
-    assert r.numerator == (ONE + Q,)  # the reduced numerator of [2]_q!/Phi_5
+    assert cols == (ONE + Q,)  # the reduced numerator of [2]_q!/Phi_5
     assert not r.ok
-    with pytest.raises(ValueError, match="did not clear"):
-        newton_polytope(r)
+    # no polytope for a column with a negative q-exponent, nor for columns
+    # that are all zero
+    cols, r = numerator(2, XPoly([ONE, QLaurent.monomial(-1)]))
+    assert not r.is_polynomial
+    with pytest.raises(ValueError, match="negative q-exponent"):
+        newton_polytope(cols)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        newton_polytope((ZERO, ZERO))
 
 
 def test_numerator_two_columns_over_one_denominator():
     # C = 1/Phi_5 + q/(1+q) x: the shared denominator (1+q) Phi_5 is not
     # inside [2]_q! = 1+q, so [2]_q! C is left over Phi_5
     c = XPoly([QRatFunc(ONE, cyclotomic(5)), QRatFunc(Q, ONE + Q)])
-    r = numerator(3, c)
-    assert r.numerator == (ONE + Q, Q * cyclotomic(5))
+    cols, r = numerator(3, c)
+    assert cols == (ONE + Q, Q * cyclotomic(5))
     assert not r.is_polynomial
     assert r.is_irreducible_fraction
     # 1/(1+q) + q/[3]_q x: the shared denominator is [3]_q! itself
     c = XPoly([QRatFunc(ONE, ONE + Q), QRatFunc(Q, q_int(3))])
-    r = numerator(4, c)
-    assert r.numerator == (q_int(3), Q + Q * Q)
+    cols, r = numerator(4, c)
+    assert cols == (q_int(3), Q + Q * Q)
     assert r.is_polynomial and r.is_irreducible_fraction and r.ok
 
 
 def test_numerator_reducible_fraction():
     # every column divisible by 1 + q = Phi_2, which divides [2]_q!
     c = XPoly([ONE + Q, (ONE + Q).shifted(3)])
-    r = numerator(3, c)
+    _, r = numerator(3, c)
     assert r.is_polynomial
     assert not r.is_irreducible_fraction
     assert not r.ok
@@ -122,15 +129,15 @@ def test_numerator_rational_coefficients_use_generic_gcd():
     # (1 + q)/2 is the integer column 1 + q over the integer denominator 2,
     # which [2]_q! does not clear: [2]_q! C = (1 + q)^2 / 2 is not in Z[q]
     c = XPoly([QRatFunc(ONE + Q, 2)])
-    r = numerator(3, c)
-    assert r.numerator == ((ONE + Q) * (ONE + Q),)
+    cols, r = numerator(3, c)
+    assert cols == ((ONE + Q) * (ONE + Q),)
     assert not r.is_polynomial
     assert not r.is_irreducible_fraction
 
 
 def test_numerator_negative_coefficient():
     c = XPoly([ONE - Q])
-    r = numerator(2, c)
+    _, r = numerator(2, c)
     assert r.is_polynomial and r.is_irreducible_fraction
     assert not r.all_coeffs_positive
 
@@ -147,10 +154,10 @@ def test_numerator_negative_coefficient():
     ids=["interior-zero", "fraction", "fraction-negative", "zero-column", "negative"],
 )
 def test_numerator_positivity_flag(n, cols, positive):
-    r = numerator(n, XPoly([QRatFunc(col) for col in cols]))
+    cols, r = numerator(n, XPoly([QRatFunc(col) for col in cols]))
     assert r.all_coeffs_positive is positive
     # the flag is "every term of every column is positive"
-    assert positive == all(v > 0 for col in r.numerator for _, v in col.items())
+    assert positive == all(v > 0 for col in cols for _, v in col.items())
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +165,14 @@ def test_numerator_positivity_flag(n, cols, positive):
 
 
 def test_polytope_p2():
-    p = newton_polytope(numerator(2, c_theorem1(1)))
+    p = newton_polytope(numerator(2, c_theorem1(1))[0])
     assert p.points == ((0, 0), (1, 1))
     assert p.upper_hull == ((0, 0), (1, 1))
     assert p.upper_hull_slopes == (Fraction(1),)
 
 
 def test_polytope_p3():
-    p = newton_polytope(numerator(3, c_theorem1(2)))
+    p = newton_polytope(numerator(3, c_theorem1(2))[0])
     assert p.points == ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (4, 2))
     assert p.hull == ((0, 0), (2, 0), (4, 2), (1, 1))
     assert p.lower_hull == ((0, 0), (2, 0), (4, 2))
@@ -174,7 +181,7 @@ def test_polytope_p3():
 
 
 def test_polytope_p6_slopes():
-    p = newton_polytope(numerator(6, c_theorem1(5)))
+    p = newton_polytope(numerator(6, c_theorem1(5))[0])
     assert p.upper_hull_slopes == (1, 3, 5, 7, 9)
 
 
@@ -182,20 +189,20 @@ def test_expected_upper_slopes():
     assert expected_upper_slopes(2) == (Fraction(1),)
     assert expected_upper_slopes(6) == (1, 3, 5, 7, 9)
     for n in range(2, 16):
-        p = newton_polytope(numerator(n, c_theorem1(n - 1)))
+        p = newton_polytope(numerator(n, c_theorem1(n - 1))[0])
         assert p.upper_hull_slopes == expected_upper_slopes(n), n
 
 
 def test_polytope_minimal_q_exponents():
     # column k of P_n starts at exponent k^2: the lower-left hull boundary
     for n in range(2, 12):
-        r = numerator(n, c_theorem1(n - 1))
+        _, r = numerator(n, c_theorem1(n - 1))
         for k, (lo, _hi) in enumerate(r.coefficient_stats):
             assert lo == k * k, (n, k)
 
 
 def test_polytope_single_point():
-    p = newton_polytope(numerator(1, XPoly.const(1)))
+    p = newton_polytope(numerator(1, XPoly.const(1))[0])
     assert p.points == ((0, 0),)
     assert p.hull == ((0, 0),)
     assert p.upper_hull_slopes == ()
@@ -203,7 +210,7 @@ def test_polytope_single_point():
 
 def test_polytope_zero_polynomial():
     with pytest.raises(ValueError, match="zero polynomial"):
-        newton_polytope(numerator(1, XPoly.zero()))
+        newton_polytope(numerator(1, XPoly.zero())[0])
 
 
 def _chain_of_all_points(pts):
@@ -221,13 +228,6 @@ def _chain_of_all_points(pts):
     return tuple(lower[:-1] + upper[:-1]), tuple(lower), tuple(reversed(upper))
 
 
-def _polytope_of(cols):
-    return newton_polytope(NumeratorReport(
-        n=len(cols), numerator=tuple(cols), is_polynomial=True,
-        is_irreducible_fraction=True, all_coeffs_positive=True, coefficient_stats=(),
-    ))
-
-
 def _agrees_with_all_points_chain(p):
     hull, lower, upper = _chain_of_all_points(p.points)
     assert (p.hull, p.lower_hull, p.upper_hull) == (hull, lower, upper)
@@ -235,7 +235,7 @@ def _agrees_with_all_points_chain(p):
 
 def test_polytope_hull_is_the_chain_of_all_points():
     for n in range(2, 17):
-        _agrees_with_all_points_chain(newton_polytope(theorem1_numerator(n)))
+        _agrees_with_all_points_chain(newton_polytope(theorem1_columns(n - 1)))
 
 
 # A column is zero or a run from q^lo with nonzero ends and any zeros inside.
@@ -259,20 +259,28 @@ _columns = st.lists(
 @example([ONE + Q])  # one column: the upper hull is one level edge
 def test_polytope_from_row_extremes_matches_all_points(cols):
     pts = sorted((e, k) for k, col in enumerate(cols) for e, _ in col.items())
+    lo = pts[0][0]
+    if lo < 0:
+        # a negative q-exponent is no term of a polynomial; the columns
+        # shifted up to q^0 have a polytope
+        with pytest.raises(ValueError, match="negative q-exponent"):
+            newton_polytope(cols)
+        cols = [col.shifted(-lo) for col in cols]
+        pts = [(e - lo, k) for e, k in pts]
     _, _, upper = _chain_of_all_points(pts)
     if any(a[1] == b[1] for a, b in zip(upper, upper[1:])):
         # a level edge on the upper hull has no dq/dx slope
         with pytest.raises(ValueError, match="level edge"):
-            _polytope_of(cols)
+            newton_polytope(cols)
         return
-    p = _polytope_of(cols)
+    p = newton_polytope(cols)
     assert p.points == tuple(pts)
     if len(pts) > 1:
         _agrees_with_all_points_chain(p)
 
 
 def test_polytope_json():
-    p = newton_polytope(numerator(3, c_theorem1(2)))
+    p = newton_polytope(numerator(3, c_theorem1(2))[0])
     blob = p.to_json()
     assert blob["upper_hull_slopes"] == ["1", "3"]
     assert blob["hull"] == [[0, 0], [2, 0], [4, 2], [1, 1]]
@@ -283,7 +291,7 @@ def test_polytope_json():
 
 
 def test_svg_structure_and_determinism():
-    p = newton_polytope(numerator(4, c_theorem1(3)))
+    p = newton_polytope(numerator(4, c_theorem1(3))[0])
     svg = svg_polytope(p, title="P4")
     assert svg.startswith('<?xml version="1.0"')
     assert "<!-- generated by qballot -->" in svg
@@ -293,9 +301,18 @@ def test_svg_structure_and_determinism():
 
 
 def test_svg_degenerate_hull():
-    p = newton_polytope(numerator(2, c_theorem1(1)))
+    p = newton_polytope(numerator(2, c_theorem1(1))[0])
     svg = svg_polytope(p)
     assert "<line" in svg or "<polygon" in svg
+
+
+@pytest.mark.parametrize("title", ["a < b", "R&D"])
+def test_svg_title_is_escaped(title):
+    import xml.etree.ElementTree as ET
+
+    svg = svg_polytope(newton_polytope(theorem1_columns(2)), title=title)
+    texts = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+    assert next(texts).text == title
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from qballot.ballot import BallotTable, qballot
 from qballot.cli import main
 from qballot.qcore import to_qbinom_basis
 from qballot.qlaurent import QRatFunc
-from qballot.qring import ONE, ExactnessError, QLaurent
+from qballot.qring import ExactnessError, QLaurent
 from qballot.report import METHODS, CheckResult, SuiteReport
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,6 @@ def test_conjecture_json(capsys):
 # A report whose numerator is not a polynomial; the other flags pass.
 _NOT_POLYNOMIAL = sweep.NumeratorReport(
     n=2,
-    numerator=(ONE,),
     is_polynomial=False,
     is_irreducible_fraction=True,
     all_coeffs_positive=True,
@@ -746,6 +745,28 @@ def test_polytope_svg(capsys):
     out = capsys.readouterr().out
     assert "<!-- generated by qballot -->" in out
     assert "P_4 exponents" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polytope", "--n", "8"],
+        ["polytope", "--n", "8", "--format", "svg"],
+        ["verify", "polytope", "--max-n", "8"],
+    ],
+    ids=["json", "svg", "verify"],
+)
+def test_polytope_runs_no_sieve(argv, monkeypatch, capsys):
+    # the hull needs only the columns: no irreducibility sieve runs
+    assert main(argv) == 0
+    want = capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polytope ran the [d]_q! sieve")
+
+    monkeypatch.setattr(sweep, "reduce_by_qfactorial", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
 
 
 def test_polytope_rejects_one(capsys):
